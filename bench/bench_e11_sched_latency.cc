@@ -65,12 +65,14 @@ BENCHMARK(BM_StrideSelectForQuantum)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
 // A homogeneous cluster of 8-GPU servers running identical infinite 1-GPU
 // jobs, `jobs_per_server` per server, warmed up past its first quanta.
-// `num_users` spreads the jobs round-robin: each attach re-derives tickets
-// for every pool job of that user (RefreshPoolTickets), so fixture build is
-// O(jobs^2 / users) — at 100k-GPU scale the two-user default would take the
-// better part of an hour to *construct*, while the tick being measured is
+// `num_users` spreads the jobs round-robin. Every submit scans the whole
+// pool in ChoosePlacement and re-rates the user's ticket currency on each
+// server hosting it, so fixture build is O(jobs x servers) — at 100k-GPU
+// scale (12500 servers) about 100 s with two users, where each currency
+// spans every server, and about 40 s with 256 users, where the placement
+// scan alone remains (4-core box). The tick being measured is
 // user-count-agnostic (charge/sample/skip walk jobs and servers, never
-// users). The 12500-server points therefore submit under 256 users.
+// users), so the 12500-server points submit under 256 users.
 std::unique_ptr<analysis::Experiment> MakeTickCluster(int num_servers,
                                                       int jobs_per_server,
                                                       int apply_threads = 1,
@@ -99,7 +101,7 @@ std::unique_ptr<analysis::Experiment> MakeTickCluster(int num_servers,
 }
 
 // Users for a scale point's fixture: 2 (the historical fixture) below
-// 12500 servers, 256 at and above, keeping construction tractable.
+// 12500 servers, 256 at and above, which keeps construction under a minute.
 int FixtureUsers(int num_servers) { return num_servers >= 12500 ? 256 : 2; }
 
 // One full quantum tick across the whole cluster, 2x oversubscribed: every

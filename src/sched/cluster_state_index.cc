@@ -18,7 +18,7 @@ ClusterStateIndex::ClusterStateIndex(const cluster::Cluster& cluster,
   down_.assign(n, false);
   plan_dirty_.assign(n, 1);  // every server must be planned on the first tick
   for (const auto& server : cluster.servers()) {
-    strides_.emplace_back(server.num_gpus(), stride_config);
+    strides_.emplace_back(server.num_gpus(), stride_config, &slots_);
     pools_by_load_[cluster::GenerationIndex(server.generation())].emplace(0.0,
                                                                           server.id());
   }
@@ -59,22 +59,65 @@ void ClusterStateIndex::Reposition(ServerId server) const {
   pool.emplace(key, server);
 }
 
-void ClusterStateIndex::AddJob(ServerId server, JobId id, int gang_size, Tickets tickets) {
-  stride(server).AddJob(id, gang_size, tickets);
+void ClusterStateIndex::AddJob(ServerId server, JobId id, int gang_size, Tickets tickets,
+                               CurrencyId currency, CurrencyShare share) {
+  stride(server).AddJob(id, gang_size, tickets, currency, share);
   MarkDirty(server);
   MarkPlanDirty(server);
+  if (!currency.valid()) {
+    return;
+  }
+  if (currency.value() >= currency_hosts_.size()) {
+    currency_hosts_.resize(currency.value() + 1);
+  }
+  std::vector<CurrencyHost>& hosts = currency_hosts_[currency.value()];
+  for (CurrencyHost& host : hosts) {
+    if (host.server == server) {
+      ++host.holders;
+      return;
+    }
+  }
+  hosts.push_back(CurrencyHost{server, 1});
 }
 
 void ClusterStateIndex::RemoveJob(ServerId server, JobId id) {
+  const CurrencyId currency = stride(server).CurrencyOfJob(id);
   stride(server).RemoveJob(id);
   MarkDirty(server);
   MarkPlanDirty(server);
+  if (!currency.valid()) {
+    return;
+  }
+  std::vector<CurrencyHost>& hosts = currency_hosts_[currency.value()];
+  for (CurrencyHost& host : hosts) {
+    if (host.server == server) {
+      if (--host.holders == 0) {
+        // Host order is immaterial: re-rating a server touches only its own
+        // entries, and the dirty marks it leaves are a set.
+        host = hosts.back();
+        hosts.pop_back();
+      }
+      return;
+    }
+  }
+  GFAIR_CHECK_MSG(false, "currency holder missing from its host list");
 }
 
-void ClusterStateIndex::SetTickets(ServerId server, JobId id, Tickets tickets) {
-  stride(server).SetTickets(id, tickets);
-  MarkDirty(server);
-  MarkPlanDirty(server);
+void ClusterStateIndex::RerateCurrency(CurrencyId currency, Tickets pool_tickets,
+                                       CurrencyDemand demand) {
+  for (const CurrencyHost& host : currency_hosts(currency)) {
+    stride(host.server).RerateCurrency(currency, pool_tickets, demand);
+    MarkDirty(host.server);
+    MarkPlanDirty(host.server);
+  }
+}
+
+const std::vector<ClusterStateIndex::CurrencyHost>& ClusterStateIndex::currency_hosts(
+    CurrencyId currency) const {
+  static const std::vector<CurrencyHost> kNone;
+  return currency.valid() && currency.value() < currency_hosts_.size()
+             ? currency_hosts_[currency.value()]
+             : kNone;
 }
 
 void ClusterStateIndex::SetRunnable(ServerId server, JobId id, bool runnable) {

@@ -2,19 +2,26 @@
 //
 // The shared state layer every GandivaFair subsystem operates on. It owns the
 // per-server LocalStrideScheduler instances (whose ticket/demand loads are
-// themselves cached, see stride.h), the per-server draining flags, and — the
-// piece that makes cluster-wide queries cheap — one ordered set per GPU
-// generation of that pool's servers keyed by normalized ticket load
-// (tickets per physical GPU), plus ServerId as the tie-breaker.
+// themselves cached, see stride.h), the job-slot table those strides share
+// (job id -> entry position and heap generation, one per cluster rather than
+// one per server), the per-server draining flags, and — the piece that makes
+// cluster-wide queries cheap — one ordered set per GPU generation of that
+// pool's servers keyed by normalized ticket load (tickets per physical GPU),
+// plus ServerId as the tie-breaker.
+//
+// It also keeps, per ticket currency (sched/currency.h), the list of servers
+// hosting that currency's holders, with holder counts, maintained by
+// AddJob/RemoveJob. A ticket refresh is RerateCurrency: each hosting server
+// revalues its own holders, so its cost follows the servers the currency
+// spans, not the number of jobs the user has.
 //
 // Invariants:
 //  * By the time any ordered-set query runs, a server's position in its
 //    pool's set reflects stride(s).TicketLoad() / num_gpus(s). Mutations that
-//    can change a ticket load go through AddJob/RemoveJob/SetTickets here,
-//    which mark the server's position dirty; queries flush dirty positions
-//    first. Deferring the reposition keeps ticket refreshes O(1) per job —
-//    an eager reposition would recompute the server's whole ticket load on
-//    every SetTickets, re-creating the quadratic refresh this index removes.
+//    can change a ticket load go through AddJob/RemoveJob/RerateCurrency
+//    here, which mark the server's position dirty; queries flush dirty
+//    positions first. Deferring the reposition means a server re-rated
+//    several times between queries is repositioned once.
 //    stride() gives raw access only for operations that cannot change loads
 //    (Charge, SelectForQuantum, reads).
 //  * Ties in the ordered set resolve to the lower ServerId. Because
@@ -40,6 +47,9 @@ namespace gfair::sched {
 class ClusterStateIndex {
  public:
   ClusterStateIndex(const cluster::Cluster& cluster, const StrideConfig& stride_config);
+  // The strides point into slots_: the index stays where it was built.
+  ClusterStateIndex(const ClusterStateIndex&) = delete;
+  ClusterStateIndex& operator=(const ClusterStateIndex&) = delete;
 
   // --- per-server stride access ---
   // Raw access for load-neutral operations (Charge, PlanQuantum, reads).
@@ -54,9 +64,22 @@ class ClusterStateIndex {
   }
 
   // --- load-changing mutations (keep the pool ordering fresh) ---
-  void AddJob(ServerId server, JobId id, int gang_size, Tickets tickets);
+  // A job added with a valid currency joins that currency's host list.
+  void AddJob(ServerId server, JobId id, int gang_size, Tickets tickets,
+              CurrencyId currency = CurrencyId::Invalid(), CurrencyShare share = {});
   void RemoveJob(ServerId server, JobId id);
-  void SetTickets(ServerId server, JobId id, Tickets tickets);
+  // Revalues every resident holder of `currency` at its current rate
+  // (LocalStrideScheduler::RerateCurrency on each server hosting the
+  // currency) and marks those servers load- and plan-dirty.
+  // O(hosting servers x their residents).
+  void RerateCurrency(CurrencyId currency, Tickets pool_tickets, CurrencyDemand demand);
+  // Servers hosting at least one holder of `currency`, with holder counts,
+  // in no particular order.
+  struct CurrencyHost {
+    ServerId server;
+    int holders;
+  };
+  const std::vector<CurrencyHost>& currency_hosts(CurrencyId currency) const;
   // Runnable toggles change ticket/demand loads and the selectable set, so
   // they go through the index too (pool reposition + plan dirty).
   void SetRunnable(ServerId server, JobId id, bool runnable);
@@ -129,7 +152,12 @@ class ClusterStateIndex {
   void Reposition(ServerId server) const;
 
   const cluster::Cluster& cluster_;
+  // The job-slot table every stride below shares (see stride.h).
+  JobSlots slots_;
   std::vector<LocalStrideScheduler> strides_;  // indexed by ServerId value
+  // Per currency (indexed by CurrencyId value), the servers hosting its
+  // holders: O(currencies + resident jobs) in total.
+  std::vector<std::vector<CurrencyHost>> currency_hosts_;
   std::vector<bool> draining_;
   int num_draining_ = 0;
   std::vector<bool> down_;

@@ -20,15 +20,6 @@ using cluster::GpuGeneration;
 using workload::Job;
 using workload::JobState;
 
-namespace internal_gfair {
-// Floor for stride tickets (a user whose pool entitlement was traded away
-// still needs a positive ticket count; residency rebalancing then moves its
-// jobs out of the pool).
-constexpr Tickets kMinTickets = 1e-6;
-}  // namespace internal_gfair
-
-using internal_gfair::kMinTickets;
-
 SimDuration RetryBackoff(SimDuration base, int attempt) {
   GFAIR_CHECK(attempt >= 1);
   constexpr SimDuration kMaxBackoff = kDay;
@@ -619,7 +610,8 @@ void GandivaFairScheduler::AttachResident(JobId id, ServerId server) {
   residency_.Info(id).home = server;
   const GpuGeneration gen = GenOf(server);
   residency_.Attach(job.user, gen, id);
-  index_.AddJob(server, id, job.gang_size, PerJobTickets(job.user, gen, job));
+  index_.AddJob(server, id, job.gang_size, PerJobTickets(job.user, gen, job),
+                CurrencyOf(job.user, gen), CurrencyShare::Of(job.gang_size, job.weight));
   RefreshPoolTickets(job.user, gen);
   ledger_.RecordDemandChange(job.user, gen, env_.sim.Now(), job.gang_size);
 }
@@ -708,37 +700,26 @@ bool GandivaFairScheduler::OnPrecopyCutover(JobId id, ServerId dest) {
   return true;
 }
 
+Tickets GandivaFairScheduler::PoolTickets(UserId user, GpuGeneration gen) const {
+  return std::max(ticket_matrix_.Get(user, gen), kMinPoolTickets);
+}
+
 Tickets GandivaFairScheduler::PerJobTickets(UserId user, GpuGeneration gen,
                                             const Job& job) const {
   // A user's pool tickets are split across its resident jobs proportional to
   // weight x gang size (equal weighted GPU-time per demanded GPU). An equal
   // per-job split would let the user's 1-GPU jobs run continuously while its
   // 8-GPU gang — one job, one share — starved at an eighth of its demand.
-  const Tickets pool_tickets = std::max(ticket_matrix_.Get(user, gen), kMinTickets);
-  const double share = job.gang_size * job.weight;
-  const double demand = std::max(residency_.WeightedResidentDemand(user, gen), share);
-  return pool_tickets * share / demand;
+  return Exchange(PoolTickets(user, gen), CurrencyShare::Of(job.gang_size, job.weight),
+                  residency_.WeightedResidentDemand(user, gen));
 }
 
 void GandivaFairScheduler::RefreshPoolTickets(UserId user, GpuGeneration gen) {
-  const auto& pool_jobs = residency_.PoolJobs(user, gen);
-  if (pool_jobs.empty()) {
-    return;
-  }
-  // The matrix lookup and the pool demand are loop-invariant — hoisted out
-  // of the per-job formula, which otherwise dominates attach/detach cost for
-  // users with many resident jobs. The per-job expression stays bit-identical
-  // to PerJobTickets.
-  const Tickets pool_tickets = std::max(ticket_matrix_.Get(user, gen), kMinTickets);
-  const double pool_demand = residency_.WeightedResidentDemand(user, gen);
-  // Sorted: SetTickets on distinct jobs commute, so this is for lint
-  // uniformity (every PoolJobs walk is sorted), not correctness.
-  for (JobId id : common::SortedKeys(pool_jobs)) {
-    const Job& job = env_.jobs.Get(id);
-    const double share = job.gang_size * job.weight;
-    index_.SetTickets(residency_.Info(id).home, id,
-                      pool_tickets * share / std::max(pool_demand, share));
-  }
+  // Shares are fixed while a job is resident, so a refresh is a re-rate of
+  // the (user, pool) currency: each server hosting a holder revalues its own
+  // entries. O(hosting servers), independent of the user's job count.
+  index_.RerateCurrency(CurrencyOf(user, gen), PoolTickets(user, gen),
+                        residency_.WeightedResidentDemand(user, gen));
 }
 
 void GandivaFairScheduler::RefreshAllTickets() {

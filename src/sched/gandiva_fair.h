@@ -73,6 +73,11 @@
 
 namespace gfair::sched {
 
+// Floor for a pool's stride tickets: a user whose pool entitlement was traded
+// away still needs a positive ticket count (residency rebalancing then moves
+// its jobs out of the pool).
+inline constexpr Tickets kMinPoolTickets = 1e-6;
+
 struct GandivaFairConfig {
   // --- local stride scheduling ---
   StrideConfig stride;                  // gang-awareness knobs (both on by default)
@@ -327,8 +332,12 @@ class GandivaFairScheduler : public IScheduler, private ISchedulerHost {
   // Recomputes effective base tickets from the group hierarchy after the
   // active-user set changes.
   void ApplyHierarchy();
+  // The user's tickets on `gen`, floored at kMinPoolTickets: the value of the
+  // whole (user, pool) currency.
+  Tickets PoolTickets(UserId user, cluster::GpuGeneration gen) const;
   Tickets PerJobTickets(UserId user, cluster::GpuGeneration gen,
                         const workload::Job& job) const;
+  // Re-rates the (user, gen) currency after its demand or value changed.
   void RefreshPoolTickets(UserId user, cluster::GpuGeneration gen);
 
   SchedulerEnv env_;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/sorted.h"
 
 namespace gfair::sched {
 
@@ -52,8 +51,9 @@ void ResidencyIndex::Attach(UserId user, cluster::GpuGeneration gen, JobId id) {
   const size_t g = cluster::GenerationIndex(gen);
   UserPools& pools = user_pools_[user];
   GFAIR_CHECK(pools.jobs[g].insert(id).second);
-  pools.resident_demand[g] += jobs_.Get(id).gang_size;
-  pools.weighted_dirty[g] = true;
+  const workload::Job& job = jobs_.Get(id);
+  pools.resident_demand[g] += job.gang_size;
+  pools.weighted_demand[g].Issue(CurrencyShare::Of(job.gang_size, job.weight));
 }
 
 void ResidencyIndex::Detach(UserId user, cluster::GpuGeneration gen, JobId id) {
@@ -61,8 +61,9 @@ void ResidencyIndex::Detach(UserId user, cluster::GpuGeneration gen, JobId id) {
   auto it = user_pools_.find(user);
   GFAIR_CHECK_MSG(it != user_pools_.end(), "detach for unknown user");
   GFAIR_CHECK(it->second.jobs[g].erase(id) == 1);
-  it->second.resident_demand[g] -= jobs_.Get(id).gang_size;
-  it->second.weighted_dirty[g] = true;
+  const workload::Job& job = jobs_.Get(id);
+  it->second.resident_demand[g] -= job.gang_size;
+  it->second.weighted_demand[g].Retire(CurrencyShare::Of(job.gang_size, job.weight));
 }
 
 const std::unordered_set<JobId>& ResidencyIndex::PoolJobs(UserId user,
@@ -94,29 +95,24 @@ double ResidencyIndex::ResidentDemand(UserId user, cluster::GpuGeneration gen) c
   return it->second.resident_demand[g];
 }
 
-double ResidencyIndex::WeightedResidentDemand(UserId user,
-                                              cluster::GpuGeneration gen) const {
+CurrencyDemand ResidencyIndex::WeightedResidentDemand(UserId user,
+                                                      cluster::GpuGeneration gen) const {
   auto it = user_pools_.find(user);
   if (it == user_pools_.end()) {
-    return 0.0;
+    return CurrencyDemand();
   }
   const size_t g = cluster::GenerationIndex(gen);
-  const UserPools& pools = it->second;
-  if (pools.weighted_dirty[g]) {
-    // Recomputed in SORTED job-id order: this is a float accumulation that
-    // feeds per-job tickets, so its summation order must not depend on the
-    // hash set's platform-specific iteration order. (Any fixed order works;
-    // sorted makes cached reads bit-identical to uncached ones AND across
-    // platforms. The frozen legacy oracle sums in the same order.)
-    double total = 0.0;
-    for (JobId id : common::SortedKeys(pools.jobs[g])) {
-      const workload::Job& job = jobs_.Get(id);
-      total += job.gang_size * job.weight;
-    }
-    pools.weighted_demand[g] = total;
-    pools.weighted_dirty[g] = false;
+#ifndef NDEBUG
+  // Integer units: the unordered walk's order cannot change the sum.
+  CurrencyDemand recompute;
+  for (JobId id : it->second.jobs[g]) {  // gfair-lint: allow(unordered-iter)
+    const workload::Job& job = jobs_.Get(id);
+    recompute.Issue(CurrencyShare::Of(job.gang_size, job.weight));
   }
-  return pools.weighted_demand[g];
+  GFAIR_DCHECK_MSG(recompute.units() == it->second.weighted_demand[g].units(),
+                   "incremental weighted demand drifted from full recompute");
+#endif
+  return it->second.weighted_demand[g];
 }
 
 double ResidencyIndex::TotalDemand(UserId user) const {

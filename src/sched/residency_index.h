@@ -6,14 +6,14 @@
 //  * per-user per-pool resident job sets (the ground truth),
 //  * per-user per-pool resident GPU demand (sum of gang sizes — incremental,
 //    exact because it is a sum of small integers),
-//  * per-user per-pool weighted resident demand (sum of gang x weight —
-//    cached with a dirty flag and recomputed in set-iteration order, so the
-//    value is bit-identical to the recompute-on-read the monolith did, while
-//    RefreshPoolTickets drops from O(jobs²) to O(jobs)),
+//  * per-user per-pool weighted resident demand — the issued shares of the
+//    (user, pool) ticket currency (sum of gang x weight, see
+//    sched/currency.h), kept as an exact fixed-point integer that Attach
+//    and Detach adjust in O(1); no re-summing, no order dependence,
 //  * per-user unfinished-job counts, total outstanding demand, and the
 //    sorted active-user set.
 //
-// In debug builds every cached aggregate is asserted against a full
+// In debug builds every incremental aggregate is asserted against a full
 // recompute at read time.
 #ifndef GFAIR_SCHED_RESIDENCY_INDEX_H_
 #define GFAIR_SCHED_RESIDENCY_INDEX_H_
@@ -26,6 +26,7 @@
 #include "cluster/gpu.h"
 #include "common/sim_time.h"
 #include "common/types.h"
+#include "sched/currency.h"
 #include "workload/job.h"
 
 namespace gfair::sched {
@@ -91,9 +92,9 @@ class ResidencyIndex {
   // --- aggregates ---
   // Resident GPU demand of `user` on `gen` (sum of gang sizes). O(1).
   double ResidentDemand(UserId user, cluster::GpuGeneration gen) const;
-  // Resident demand weighted by job weight (sum of gang x weight). O(1)
-  // amortized (cached; recomputed once per residency change).
-  double WeightedResidentDemand(UserId user, cluster::GpuGeneration gen) const;
+  // Resident demand weighted by job weight (sum of gang x weight): the
+  // issued shares of the user's currency on `gen`. O(1), exact.
+  CurrencyDemand WeightedResidentDemand(UserId user, cluster::GpuGeneration gen) const;
   // Total outstanding GPU demand (includes in-flight migrations, which are
   // resident in no pool set). O(1).
   double TotalDemand(UserId user) const;
@@ -111,8 +112,7 @@ class ResidencyIndex {
   struct UserPools {
     cluster::PerGeneration<std::unordered_set<JobId>> jobs;
     cluster::PerGeneration<double> resident_demand{};
-    mutable cluster::PerGeneration<double> weighted_demand{};
-    mutable cluster::PerGeneration<bool> weighted_dirty{};
+    cluster::PerGeneration<CurrencyDemand> weighted_demand{};
   };
 
   const workload::JobTable& jobs_;

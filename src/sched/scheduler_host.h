@@ -31,8 +31,9 @@ class ISchedulerHost {
   // User's current entitlement (in GPUs) on a pool, given active users.
   virtual double EntitlementGpus(UserId user, cluster::GpuGeneration gen) const = 0;
 
-  // Recomputes every resident job's stride tickets from the ticket matrix
-  // (after a trading epoch reshaped pool tickets).
+  // Re-rates every active ticket currency from the ticket matrix, which
+  // revalues every resident job's stride tickets (after a trading epoch
+  // reshaped pool tickets).
   virtual void RefreshAllTickets() = 0;
 
   // Re-places a job that lost its server (state kQueued, no server). If no

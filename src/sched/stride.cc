@@ -10,8 +10,12 @@ namespace {
 constexpr Pass kInf = Pass::Infinity();
 }  // namespace
 
-LocalStrideScheduler::LocalStrideScheduler(int num_gpus, StrideConfig config)
-    : num_gpus_(num_gpus), config_(config) {
+LocalStrideScheduler::LocalStrideScheduler(int num_gpus, StrideConfig config,
+                                           JobSlots* shared_slots)
+    : num_gpus_(num_gpus),
+      config_(config),
+      own_slots_(shared_slots == nullptr ? std::make_unique<JobSlots>() : nullptr),
+      slots_(shared_slots == nullptr ? own_slots_.get() : shared_slots) {
   GFAIR_CHECK(num_gpus_ > 0);
 }
 
@@ -22,17 +26,21 @@ void LocalStrideScheduler::InvalidateAggregates(bool membership_changed) {
   }
 }
 
-void LocalStrideScheduler::AddJob(JobId id, int gang_size, Tickets tickets) {
+void LocalStrideScheduler::AddJob(JobId id, int gang_size, Tickets tickets,
+                                  CurrencyId currency, CurrencyShare share) {
   GFAIR_CHECK(id.valid());
   GFAIR_CHECK_MSG(gang_size >= 1 && gang_size <= num_gpus_, "gang cannot fit this server");
   GFAIR_CHECK(tickets > 0.0);
-  GFAIR_CHECK_MSG(FindEntry(id) == entries_.end(), "job already resident");
-  entries_.emplace_back(id, Entry{gang_size, tickets, virtual_time_, true});
-  if (id.value() >= index_of_.size()) {
-    index_of_.resize(id.value() + 1, 0);
-    heap_gen_.resize(id.value() + 1, 0);
+  JobSlots& slots = *slots_;
+  if (id.value() >= slots.index_of.size()) {
+    slots.index_of.resize(id.value() + 1, 0);
+    slots.heap_gen.resize(id.value() + 1, 0);
   }
-  index_of_[id.value()] = static_cast<uint32_t>(entries_.size());
+  // Zero also when the table is shared: a job is resident in one stride.
+  GFAIR_CHECK_MSG(slots.index_of[id.value()] == 0, "job already resident");
+  entries_.emplace_back(id, Entry{gang_size, currency, tickets, virtual_time_, true});
+  shares_.push_back(share);
+  slots.index_of[id.value()] = static_cast<uint32_t>(entries_.size());
   ticket_load_shadow_ += tickets;
   demand_load_ += gang_size;
   InvalidateAggregates(/*membership_changed=*/true);
@@ -50,9 +58,11 @@ void LocalStrideScheduler::RemoveJob(JobId id) {
   }
   const size_t pos = static_cast<size_t>(it - entries_.begin());
   entries_.erase(it);
-  index_of_[id.value()] = 0;
+  shares_.erase(shares_.begin() + static_cast<std::ptrdiff_t>(pos));
+  std::vector<uint32_t>& index_of = slots_->index_of;
+  index_of[id.value()] = 0;
   for (size_t i = pos; i < entries_.size(); ++i) {
-    index_of_[entries_[i].first.value()] = static_cast<uint32_t>(i + 1);
+    index_of[entries_[i].first.value()] = static_cast<uint32_t>(i + 1);
   }
   InvalidateAggregates(/*membership_changed=*/true);
   HeapInvalidate(id);
@@ -67,6 +77,23 @@ void LocalStrideScheduler::SetTickets(JobId id, Tickets tickets) {
     ticket_load_shadow_ += tickets - it->second.tickets;
   }
   it->second.tickets = tickets;
+  InvalidateAggregates(/*membership_changed=*/false);
+}
+
+void LocalStrideScheduler::RerateCurrency(CurrencyId currency, Tickets pool_tickets,
+                                          CurrencyDemand demand) {
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    Entry& entry = entries_[i].second;
+    if (entry.currency != currency) {
+      continue;
+    }
+    const Tickets tickets = Exchange(pool_tickets, shares_[i], demand);
+    GFAIR_CHECK(tickets > 0.0);
+    if (entry.runnable) {
+      ticket_load_shadow_ += tickets - entry.tickets;
+    }
+    entry.tickets = tickets;
+  }
   InvalidateAggregates(/*membership_changed=*/false);
 }
 
@@ -196,18 +223,21 @@ void LocalStrideScheduler::HeapPopTop() const {
 
 void LocalStrideScheduler::HeapPushJob(JobId id, const Entry& entry) const {
   heap_.push_back(
-      HeapItem{entry.pass, TieOf(id, entry.gang_size), heap_gen_[id.value()]});
+      HeapItem{entry.pass, TieOf(id, entry.gang_size), slots_->heap_gen[id.value()]});
   HeapSiftUp(heap_.size() - 1);
 }
 
 void LocalStrideScheduler::FixHeapTop() const {
+  const JobSlots& slots = *slots_;
   while (!heap_.empty()) {
     const HeapItem& top = heap_.front();
     const uint32_t raw_id = static_cast<uint32_t>(top.tie);
-    const uint32_t pos = raw_id < index_of_.size() ? index_of_[raw_id] : 0;
-    // A matching generation implies the entry exists and is runnable: both
-    // removal and the runnable→false transition bump the generation.
-    if (pos != 0 && heap_gen_[raw_id] == top.gen) {
+    const uint32_t pos = raw_id < slots.index_of.size() ? slots.index_of[raw_id] : 0;
+    // A matching generation implies the entry exists here and is runnable:
+    // removal (from any stride sharing the table) and the runnable→false
+    // transition both bump the generation.
+    if (pos != 0 && slots.heap_gen[raw_id] == top.gen) {
+      GFAIR_DCHECK(entries_[pos - 1].first.value() == raw_id);
       const Entry& entry = entries_[pos - 1].second;
       if (entry.pass == top.pass) {
         return;  // live and current → the true minimum (keys only increase)
@@ -239,10 +269,21 @@ void LocalStrideScheduler::RebuildHeap() const {
   for (const auto& [id, entry] : entries_) {
     if (entry.runnable) {
       heap_.push_back(
-          HeapItem{entry.pass, TieOf(id, entry.gang_size), heap_gen_[id.value()]});
+          HeapItem{entry.pass, TieOf(id, entry.gang_size), slots_->heap_gen[id.value()]});
     }
   }
   std::make_heap(heap_.begin(), heap_.end(), HeapItemAfter{});
+}
+
+size_t LocalStrideScheduler::live_heap_items() const {
+  size_t live = 0;
+  for (const HeapItem& item : heap_) {
+    const uint32_t raw_id = static_cast<uint32_t>(item.tie);
+    if (raw_id < slots_->heap_gen.size() && slots_->heap_gen[raw_id] == item.gen) {
+      ++live;
+    }
+  }
+  return live;
 }
 
 Pass LocalStrideScheduler::MinRunnablePass() const {
@@ -321,6 +362,7 @@ void LocalStrideScheduler::PlanQuantum(std::vector<JobId>* out,
     return;
   }
   popped_scratch_.clear();
+  const JobSlots& slots = *slots_;
   Pass min_pass = kInf;
   int free = num_gpus_;
   // Pop live candidates in (pass, tie) order, packing each one that fits the
@@ -332,13 +374,14 @@ void LocalStrideScheduler::PlanQuantum(std::vector<JobId>* out,
   while (free > 0 && !heap_.empty()) {
     HeapItem& top = heap_.front();
     const uint32_t raw_id = static_cast<uint32_t>(top.tie);
-    const uint32_t pos = raw_id < index_of_.size() ? index_of_[raw_id] : 0;
-    // A matching generation implies the entry exists and is runnable: both
-    // removal and the runnable→false transition bump the generation.
-    if (pos == 0 || heap_gen_[raw_id] != top.gen) {
+    const uint32_t pos = raw_id < slots.index_of.size() ? slots.index_of[raw_id] : 0;
+    // A matching generation implies the entry exists here and is runnable
+    // (see FixHeapTop).
+    if (pos == 0 || slots.heap_gen[raw_id] != top.gen) {
       HeapPopTop();  // tombstone
       continue;
     }
+    GFAIR_DCHECK(entries_[pos - 1].first.value() == raw_id);
     const Pass true_pass = entries_[pos - 1].second.pass;
     if (true_pass != top.pass) {
       // Stale key (charged or pass-floored since the push). Stored keys

@@ -54,17 +54,33 @@
 // memory beats hashing on every lookup, and iteration (selection, the
 // aggregate recomputes) is a cache-line walk. This container is on the
 // cluster-wide per-quantum hot path.
+//
+// Each entry also records the ticket currency it is denominated in (see
+// sched/currency.h) and, in a cold parallel array, its share of that
+// currency. RerateCurrency revalues every local holder of one currency at a
+// new exchange rate — the whole per-server half of a ticket refresh.
+//
+// Job-id lookups go through a JobSlots table: job id -> entry position and
+// heap generation. A standalone scheduler owns its table; the strides of one
+// cluster share a single table (owned by ClusterStateIndex), which is sound
+// because a job is resident in at most one stride at a time and generations
+// only ever increase — so a slot always points into the job's current
+// stride, and FindEntry confirms the entry at that position is the job's.
+// Memory is O(max job id) per cluster instead of per server.
 #ifndef GFAIR_SCHED_STRIDE_H_
 #define GFAIR_SCHED_STRIDE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/sim_time.h"
 #include "common/types.h"
+#include "sched/currency.h"
 
 namespace gfair::sched {
 
@@ -73,12 +89,27 @@ struct StrideConfig {
   bool reserve_blocked_gang = true;
 };
 
+// Dense job-id -> slot map (see file comment). Grown on demand, never shrunk.
+struct JobSlots {
+  // Position+1 in the resident stride's entries_ (0 = resident nowhere).
+  std::vector<uint32_t> index_of;
+  // Generation stamp for heap items (see HeapItem::gen).
+  std::vector<uint32_t> heap_gen;
+};
+
 class LocalStrideScheduler {
  public:
-  explicit LocalStrideScheduler(int num_gpus, StrideConfig config = {});
+  // `shared_slots` (optional, must outlive the scheduler) is the job-slot
+  // table shared by every stride of one cluster; null gives the scheduler a
+  // private table.
+  explicit LocalStrideScheduler(int num_gpus, StrideConfig config = {},
+                                JobSlots* shared_slots = nullptr);
 
   // Registers a resident job. Its pass starts at the current virtual time.
-  void AddJob(JobId id, int gang_size, Tickets tickets);
+  // A job may name the currency its tickets are denominated in and its share
+  // of it, making it a holder that RerateCurrency revalues.
+  void AddJob(JobId id, int gang_size, Tickets tickets,
+              CurrencyId currency = CurrencyId::Invalid(), CurrencyShare share = {});
 
   // Unregisters a job (finished or migrated away).
   void RemoveJob(JobId id);
@@ -87,11 +118,21 @@ class LocalStrideScheduler {
   // Tickets do not enter the selection key, so the heap needs no rebuild.
   void SetTickets(JobId id, Tickets tickets);
 
+  // Revalues every resident holder of `currency` at the currency's current
+  // rate: tickets = Exchange(pool_tickets, share, demand). O(resident jobs).
+  void RerateCurrency(CurrencyId currency, Tickets pool_tickets, CurrencyDemand demand);
+  // The currency a resident job's tickets are denominated in (Invalid when
+  // it was added without one).
+  CurrencyId CurrencyOfJob(JobId id) const { return GetEntry(id).currency; }
+
   // Marks a job (not) selectable without unregistering it.
   void SetRunnable(JobId id, bool runnable);
 
   bool Contains(JobId id) const { return FindEntry(id) != entries_.end(); }
   size_t num_jobs() const { return entries_.size(); }
+  // Heap items whose generation is current (introspection: by the heap
+  // invariant this equals the number of runnable residents).
+  size_t live_heap_items() const;
   int num_gpus() const { return num_gpus_; }
 
   // Sum of tickets over resident runnable jobs — the server's "ticket load"
@@ -177,20 +218,25 @@ class LocalStrideScheduler {
   [[nodiscard]] const std::vector<JobId>& ResidentJobs() const;
 
  private:
+  // The charge walk's working set: the currency id sits in what would
+  // otherwise be padding after gang_size, and the share (read only when
+  // re-rating) lives in the cold shares_ array, so the entry stays 32 bytes.
   struct Entry {
     int gang_size;
+    CurrencyId currency;
     Tickets tickets;
     Pass pass;
     bool runnable;
   };
+  static_assert(sizeof(Entry) == 32, "keep the hot stride entry at 32 bytes");
   using EntryList = std::vector<std::pair<JobId, Entry>>;
 
   // One selection-heap item. `tie` packs the (gang, id) tie-break into one
   // integer — gang key in the high half (inverted when big_job_first so
   // bigger gangs order first), id in the low half — so the heap comparator
   // is two flat compares instead of a three-level branch chain. `gen` stamps
-  // the item against heap_gen_: a mismatch marks a tombstone (job removed or
-  // runnable-toggled since the push).
+  // the item against the slot table's heap_gen: a mismatch marks a tombstone
+  // (job removed or runnable-toggled since the push).
   struct HeapItem {
     Pass pass;
     uint64_t tie;
@@ -208,19 +254,28 @@ class LocalStrideScheduler {
     }
   };
 
-  // O(1) via index_of_; Charge/SetRunnable/SetTickets run per job per
-  // quantum, so lookups must not scan.
-  EntryList::iterator FindEntry(JobId id) {
-    if (id.valid() && id.value() < index_of_.size() && index_of_[id.value()] != 0) {
-      return entries_.begin() + (index_of_[id.value()] - 1);
+  // O(1) via the slot table; Charge and SetRunnable run per job per
+  // quantum, so lookups must not scan. A shared table's slot may belong to
+  // another stride, so the entry at the slot must be the job's own.
+  size_t SlotOf(JobId id) const {
+    const std::vector<uint32_t>& index_of = slots_->index_of;
+    if (id.valid() && id.value() < index_of.size()) {
+      const size_t pos = index_of[id.value()];
+      if (pos != 0 && pos <= entries_.size() && entries_[pos - 1].first == id) {
+        return pos;
+      }
     }
-    return entries_.end();
+    return 0;
+  }
+  EntryList::iterator FindEntry(JobId id) {
+    const size_t pos = SlotOf(id);
+    return pos != 0 ? entries_.begin() + static_cast<std::ptrdiff_t>(pos - 1)
+                    : entries_.end();
   }
   EntryList::const_iterator FindEntry(JobId id) const {
-    if (id.valid() && id.value() < index_of_.size() && index_of_[id.value()] != 0) {
-      return entries_.begin() + (index_of_[id.value()] - 1);
-    }
-    return entries_.end();
+    const size_t pos = SlotOf(id);
+    return pos != 0 ? entries_.begin() + static_cast<std::ptrdiff_t>(pos - 1)
+                    : entries_.end();
   }
 
   const Entry& GetEntry(JobId id) const;
@@ -244,11 +299,11 @@ class LocalStrideScheduler {
   // Removes the top item (replace with last, sift down).
   void HeapPopTop() const;
   // Pushes a live heap item for `id` with its current pass. The caller must
-  // have bumped heap_gen_[id] if the previous item has to die.
+  // have bumped the job's heap generation if the previous item has to die.
   void HeapPushJob(JobId id, const Entry& entry) const;
   // Invalidates any live heap item for `id` (tombstone).
   void HeapInvalidate(JobId id) {
-    heap_gen_[id.value()] += 1;
+    slots_->heap_gen[id.value()] += 1;
     MaybeCompactHeap();
   }
   // Drops tombstones and re-keys stale items until the top is live and
@@ -263,11 +318,12 @@ class LocalStrideScheduler {
   int num_gpus_;
   StrideConfig config_;
   EntryList entries_;
-  // Dense job-id → position+1 in entries_ (0 = absent); sized by the largest
-  // job id ever resident here. Kept in sync by AddJob/RemoveJob.
-  std::vector<uint32_t> index_of_;
-  // Dense job-id → generation stamp for heap items (see HeapItem::gen).
-  std::vector<uint32_t> heap_gen_;
+  // Currency shares, parallel to entries_ (read only by RerateCurrency).
+  std::vector<CurrencyShare> shares_;
+  // The job-slot table (see file comment): the cluster's shared one, or
+  // own_slots_. Kept in sync by AddJob/RemoveJob.
+  std::unique_ptr<JobSlots> own_slots_;
+  JobSlots* slots_;
   // Monotone floor for newcomer passes; tracks min runnable pass.
   Pass virtual_time_;
 

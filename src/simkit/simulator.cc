@@ -17,25 +17,30 @@ EventId Simulator::After(SimDuration delay, EventCallback callback) {
 
 EventId Simulator::Every(SimDuration period, std::function<void()> callback) {
   GFAIR_CHECK(period > 0);
-  // Each firing reschedules itself under a fresh event id; the shared chain
-  // cell records that live id on every re-push so Cancel() — keyed by the
-  // first id, the caller's stable handle — can remove the pending event from
-  // the queue. The cancelled flag additionally guards the (re-entrant) case
+  // Each firing reschedules itself under a fresh event id; the chain cell
+  // records that live id on every re-push so Cancel() — keyed by the first
+  // id, the caller's stable handle — can remove the pending event from the
+  // queue. The cancelled flag additionally guards the (re-entrant) case
   // where the chain is cancelled from inside its own callback.
   auto chain = std::make_shared<RepeatingChain>();
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, period, callback = std::move(callback), chain, tick]() {
+  chain->period = period;
+  chain->callback = std::move(callback);
+  PushFiring(chain);
+  repeating_chains_.emplace_back(chain->live, chain);
+  return chain->live;
+}
+
+void Simulator::PushFiring(std::shared_ptr<RepeatingChain> chain) {
+  RepeatingChain& cell = *chain;
+  cell.live = queue_.Push(now_ + cell.period, [this, chain = std::move(chain)]() {
     if (chain->cancelled) {
       return;
     }
-    callback();
+    chain->callback();
     if (!chain->cancelled) {
-      chain->live = queue_.Push(now_ + period, *tick);
+      PushFiring(chain);
     }
-  };
-  chain->live = queue_.Push(now_ + period, *tick);
-  repeating_chains_.emplace_back(chain->live, chain);
-  return chain->live;
+  });
 }
 
 bool Simulator::Cancel(EventId id) {

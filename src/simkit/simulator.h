@@ -62,13 +62,19 @@ class Simulator {
 
  private:
   // A repeating chain re-pushes itself under a fresh event id on every
-  // firing. The shared cell tracks the chain's currently pending event id so
-  // Cancel() — keyed by the chain's first id — can remove the live event from
-  // the queue instead of leaving a stale callback behind.
+  // firing. The shared cell owns the callback and tracks the chain's
+  // currently pending event id so Cancel() — keyed by the chain's first id —
+  // can remove the live event from the queue instead of leaving a stale
+  // callback behind. Queued firings hold the cell; the cell holds no firing,
+  // so destroying the simulator frees the whole chain.
   struct RepeatingChain {
+    SimDuration period;
+    std::function<void()> callback;
     bool cancelled = false;
     EventId live;
   };
+  // Queues the chain's next firing one period from now.
+  void PushFiring(std::shared_ptr<RepeatingChain> chain);
   // A handful of chains exist at a time (periodic scheduler timers), but
   // one-shot cancels consult this on the per-quantum path first — a linear
   // scan beats hashing at this size.

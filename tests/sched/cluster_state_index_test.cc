@@ -26,7 +26,9 @@ TEST(ClusterStateIndexTest, LeastLoadedTracksMutationsLazily) {
   EXPECT_EQ(index.LeastLoadedServer(GpuGeneration::kV100, 1), ServerId(0));
   EXPECT_EQ(index.LeastLoadedServer(GpuGeneration::kK80, 1), ServerId(3));
 
-  index.AddJob(ServerId(0), JobId(1), 2, 4.0);  // norm load 1.0
+  const CurrencyId currency = CurrencyOf(UserId(0), GpuGeneration::kV100);
+  const CurrencyShare share = CurrencyShare::Of(2, 1.0);
+  index.AddJob(ServerId(0), JobId(1), 2, 4.0, currency, share);  // norm load 1.0
   EXPECT_EQ(index.LeastLoadedServer(GpuGeneration::kV100, 1), ServerId(1));
   index.AddJob(ServerId(1), JobId(2), 1, 1.0);  // norm load 0.25
   EXPECT_EQ(index.LeastLoadedServer(GpuGeneration::kV100, 1), ServerId(2));
@@ -34,13 +36,55 @@ TEST(ClusterStateIndexTest, LeastLoadedTracksMutationsLazily) {
   EXPECT_EQ(index.LeastLoadedServer(GpuGeneration::kV100, 1), ServerId(1));
 
   // Ticket updates reposition (lazily — the query must see the new order).
-  index.SetTickets(ServerId(0), JobId(1), 0.4);  // norm load 0.1
+  CurrencyDemand demand;
+  demand.Issue(share);
+  index.RerateCurrency(currency, 0.4, demand);  // norm load 0.1
   EXPECT_EQ(index.LeastLoadedServer(GpuGeneration::kV100, 1), ServerId(0));
   EXPECT_DOUBLE_EQ(index.NormTicketLoad(ServerId(0)), 0.1);
 
   // Removal drops the load back to zero.
   index.RemoveJob(ServerId(1), JobId(2));
   EXPECT_EQ(index.LeastLoadedServer(GpuGeneration::kV100, 1), ServerId(1));
+}
+
+TEST(ClusterStateIndexTest, RerateCurrencyRevaluesHoldersOnEveryHost) {
+  const cluster::Cluster cluster = MakeCluster();
+  ClusterStateIndex index(cluster, StrideConfig{});
+  const CurrencyId mine = CurrencyOf(UserId(0), GpuGeneration::kV100);
+  const CurrencyId theirs = CurrencyOf(UserId(1), GpuGeneration::kV100);
+  EXPECT_NE(mine, theirs);
+  EXPECT_NE(mine, CurrencyOf(UserId(0), GpuGeneration::kK80));
+
+  index.AddJob(ServerId(0), JobId(1), 1, 1.0, mine, CurrencyShare::Of(1, 1.0));
+  index.AddJob(ServerId(0), JobId(2), 2, 1.0, mine, CurrencyShare::Of(2, 1.0));
+  index.AddJob(ServerId(1), JobId(3), 1, 4.0, mine, CurrencyShare::Of(1, 0.5));
+  index.AddJob(ServerId(2), JobId(4), 1, 3.0, theirs, CurrencyShare::Of(1, 1.0));
+  ASSERT_EQ(index.currency_hosts(mine).size(), 2u);
+  EXPECT_EQ(index.currency_hosts(mine)[0].server, ServerId(0));
+  EXPECT_EQ(index.currency_hosts(mine)[0].holders, 2);
+  EXPECT_EQ(index.currency_hosts(mine)[1].holders, 1);
+  EXPECT_EQ(index.LeastLoadedServer(GpuGeneration::kV100, 1), ServerId(0));
+
+  CurrencyDemand demand;  // 1 + 2 + 0.5
+  demand.Issue(CurrencyShare::Of(1, 1.0));
+  demand.Issue(CurrencyShare::Of(2, 1.0));
+  demand.Issue(CurrencyShare::Of(1, 0.5));
+  index.RerateCurrency(mine, 7.0, demand);
+  EXPECT_EQ(index.stride(ServerId(0)).TicketsOf(JobId(1)), Tickets(2.0));
+  EXPECT_EQ(index.stride(ServerId(0)).TicketsOf(JobId(2)), Tickets(4.0));
+  EXPECT_EQ(index.stride(ServerId(1)).TicketsOf(JobId(3)), Tickets(1.0));
+  EXPECT_EQ(index.stride(ServerId(2)).TicketsOf(JobId(4)), Tickets(3.0));
+  // Re-rated servers reposition (lazily): norm loads 1.5, 0.25, 0.75.
+  EXPECT_EQ(index.LeastLoadedServer(GpuGeneration::kV100, 1), ServerId(1));
+  EXPECT_TRUE(index.plan_dirty(ServerId(1)));
+
+  index.RemoveJob(ServerId(1), JobId(3));
+  ASSERT_EQ(index.currency_hosts(mine).size(), 1u);
+  index.RemoveJob(ServerId(0), JobId(2));
+  EXPECT_EQ(index.currency_hosts(mine)[0].holders, 1);
+  index.RemoveJob(ServerId(0), JobId(1));
+  EXPECT_TRUE(index.currency_hosts(mine).empty());
+  EXPECT_EQ(index.currency_hosts(theirs).size(), 1u);
 }
 
 TEST(ClusterStateIndexTest, QueryFiltersExcludeDrainingAndCapacity) {

@@ -35,6 +35,13 @@ struct CanSetTickets<T, std::void_t<decltype(std::declval<T>().SetTickets(
                             std::declval<JobId>(), 1.0))>> : std::true_type {};
 
 template <typename T, typename = void>
+struct CanRerateCurrency : std::false_type {};
+template <typename T>
+struct CanRerateCurrency<T, std::void_t<decltype(std::declval<T>().RerateCurrency(
+                                std::declval<CurrencyId>(), 1.0,
+                                std::declval<CurrencyDemand>()))>> : std::true_type {};
+
+template <typename T, typename = void>
 struct CanSetRunnable : std::false_type {};
 template <typename T>
 struct CanSetRunnable<T, std::void_t<decltype(std::declval<T>().SetRunnable(
@@ -78,6 +85,8 @@ static_assert(!CanAddJob<StrideThroughView>::value,
               "AddJob must not be callable through the view");
 static_assert(!CanSetTickets<StrideThroughView>::value,
               "SetTickets must not be callable through the view");
+static_assert(!CanRerateCurrency<StrideThroughView>::value,
+              "RerateCurrency must not be callable through the view");
 static_assert(!CanSetRunnable<StrideThroughView>::value,
               "SetRunnable must not be callable through the view");
 static_assert(!CanCharge<StrideThroughView>::value,
@@ -87,6 +96,7 @@ static_assert(!CanCharge<StrideThroughView>::value,
 // otherwise the negative asserts above would pass vacuously.
 static_assert(CanAddJob<LocalStrideScheduler&>::value);
 static_assert(CanSetTickets<LocalStrideScheduler&>::value);
+static_assert(CanRerateCurrency<LocalStrideScheduler&>::value);
 static_assert(CanSetRunnable<LocalStrideScheduler&>::value);
 static_assert(CanCharge<LocalStrideScheduler&>::value);
 

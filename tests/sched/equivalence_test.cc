@@ -166,6 +166,27 @@ void HeterogeneousScenario(ExpT& exp, SchedT& /*sched*/) {
   exp.Run(Hours(6));
 }
 
+// Weighted splitting: every other scenario submits at weight 1.0, which
+// leaves the gang x weight split of a user's pool tickets — and the
+// fixed-point pool demand it sums — unpinned against the oracle. Here the
+// users mix dyadic (0.5, 2, 1.25) and non-dyadic (0.3, 0.7) weights across
+// gang sizes on an oversubscribed two-pool cluster, so the splits decide
+// who runs each quantum and trading reprices the pools the split divides.
+template <typename ExpT, typename SchedT>
+void WeightedScenario(ExpT& exp, SchedT& /*sched*/) {
+  const UserId users[] = {exp.users().Create("a", 1.0).id,
+                          exp.users().Create("b", 2.0).id,
+                          exp.users().Create("c", 1.0).id};
+  const char* models[] = {"ResNeXt-50", "VAE", "DCGAN", "Transformer"};
+  const int gangs[] = {1, 2, 1, 4, 1, 8, 2};
+  const double weights[] = {0.3, 1.0, 2.0, 0.7, 0.5, 1.25, 0.3, 0.7};
+  for (int i = 0; i < 72; ++i) {
+    exp.SubmitAt(Minutes(2 * i), users[i % 3], models[i % 4], gangs[i % 7],
+                 Hours(1 + (i % 5)), weights[i % 8]);
+  }
+  exp.Run(Hours(8));
+}
+
 TEST(EquivalenceTest, HomogeneousDecisionStreamMatchesLegacy) {
   ExperimentConfig config;
   config.topology = cluster::HomogeneousTopology(25, 8);
@@ -203,6 +224,22 @@ TEST(EquivalenceTest, SingleServerDecisionStreamMatchesLegacy) {
   const RunResult refactored = RunWith<GandivaFairScheduler>(
       config, gf, [](auto& exp, auto& s) { SingleServerScenario(exp, s); });
   EXPECT_GT(legacy.counts[static_cast<size_t>(DecisionType::kSuspend)], 0);
+  ExpectIdentical(legacy, refactored);
+}
+
+TEST(EquivalenceTest, WeightedSplitDecisionStreamMatchesLegacy) {
+  ExperimentConfig config;
+  config.topology = cluster::Topology{{
+      cluster::ServerGroup{cluster::GpuGeneration::kK80, 4, 8},
+      cluster::ServerGroup{cluster::GpuGeneration::kV100, 4, 8},
+  }};
+  const GandivaFairConfig gf;
+  const RunResult legacy = RunWith<LegacyGandivaFairScheduler>(
+      config, gf, [](auto& exp, auto& s) { WeightedScenario(exp, s); });
+  const RunResult refactored = RunWith<GandivaFairScheduler>(
+      config, gf, [](auto& exp, auto& s) { WeightedScenario(exp, s); });
+  EXPECT_GT(legacy.counts[static_cast<size_t>(DecisionType::kSuspend)], 0);
+  EXPECT_GT(legacy.counts[static_cast<size_t>(DecisionType::kTrade)], 0);
   ExpectIdentical(legacy, refactored);
 }
 

@@ -17,6 +17,8 @@
 #include "sched/hierarchy.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -269,13 +271,16 @@ double LegacyGandivaFairScheduler::WeightedResidentDemand(UserId user,
   if (it == user_pool_jobs_.end()) {
     return 0.0;
   }
-  double total = 0.0;
-  // Sorted: float accumulation feeding tickets (mirrors ResidencyIndex).
+  // Exact fixed-point sum in 2^-32 units of gang x weight, converted at read
+  // time (mirrors ResidencyIndex's currency demand). Integer addition makes
+  // the walk order irrelevant; for dyadic weights the value equals the plain
+  // floating-point sum bit for bit.
+  int64_t units = 0;
   for (JobId id : common::SortedKeys(it->second[GenerationIndex(gen)])) {
     const Job& job = env_.jobs.Get(id);
-    total += job.gang_size * job.weight;
+    units += std::llround(job.gang_size * job.weight * 4294967296.0);
   }
-  return total;
+  return static_cast<double>(units) / 4294967296.0;
 }
 
 double LegacyGandivaFairScheduler::PerJobTickets(UserId user, GpuGeneration gen,

@@ -278,6 +278,105 @@ TEST(StrideTest, ResidentJobsCachedViewStaysSortedAndFresh) {
   EXPECT_EQ(stride.ResidentJobs(), again);
 }
 
+// Strides sharing one job-slot table (as a cluster's do): a job that moves
+// A -> B -> A must leave no entry and no live heap item behind in B, and both
+// strides must select exactly as private-table strides driven through the
+// same operations. Run below and above the sort-select cutoff so the heap
+// path is covered too.
+TEST(StrideTest, SharedSlotTableRoundTripLeavesNothingBehind) {
+  for (const uint32_t residents : {3u, 80u}) {
+    JobSlots shared;
+    LocalStrideScheduler a(8, {}, &shared);
+    LocalStrideScheduler b(8, {}, &shared);
+    LocalStrideScheduler ref_a(8);
+    LocalStrideScheduler ref_b(8);
+    for (uint32_t i = 0; i < residents; ++i) {
+      const int gang = 1 + static_cast<int>(i % 3);
+      for (LocalStrideScheduler* s : {&a, &ref_a}) {
+        s->AddJob(JobId(i), gang, 1.0 + i % 4);
+      }
+      for (LocalStrideScheduler* s : {&b, &ref_b}) {
+        s->AddJob(JobId(1000 + i), gang, 2.0);
+      }
+    }
+    auto run_quanta = [&](int quanta) {
+      for (int q = 0; q < quanta; ++q) {
+        const std::vector<JobId> picked_a = a.SelectForQuantum();
+        const std::vector<JobId> picked_b = b.SelectForQuantum();
+        ASSERT_EQ(picked_a, ref_a.SelectForQuantum());
+        ASSERT_EQ(picked_b, ref_b.SelectForQuantum());
+        for (JobId id : picked_a) {
+          a.Charge(id, 60'000);
+          ref_a.Charge(id, 60'000);
+        }
+        for (JobId id : picked_b) {
+          b.Charge(id, 60'000);
+          ref_b.Charge(id, 60'000);
+        }
+      }
+    };
+    auto move = [&](JobId id, LocalStrideScheduler& from, LocalStrideScheduler& to,
+                    LocalStrideScheduler& ref_from, LocalStrideScheduler& ref_to) {
+      const int gang = from.GangOf(id);
+      from.RemoveJob(id);
+      ref_from.RemoveJob(id);
+      to.AddJob(id, gang, 3.0);
+      ref_to.AddJob(id, gang, 3.0);
+    };
+
+    const JobId mover(1);
+    run_quanta(5);
+    move(mover, a, b, ref_a, ref_b);
+    EXPECT_FALSE(a.Contains(mover));
+    EXPECT_TRUE(b.Contains(mover));
+    run_quanta(5);
+    move(mover, b, a, ref_b, ref_a);
+    run_quanta(5);
+
+    EXPECT_TRUE(a.Contains(mover));
+    EXPECT_FALSE(b.Contains(mover));
+    EXPECT_EQ(b.num_jobs(), residents);
+    // Every runnable resident has exactly one live item; the mover's B-era
+    // items are all tombstones.
+    EXPECT_EQ(b.live_heap_items(), b.num_jobs());
+    EXPECT_EQ(a.live_heap_items(), a.num_jobs());
+    EXPECT_EQ(a.MinRunnablePass(), ref_a.MinRunnablePass());
+    EXPECT_EQ(b.MinRunnablePass(), ref_b.MinRunnablePass());
+    EXPECT_EQ(a.ResidentJobs(), ref_a.ResidentJobs());
+    EXPECT_EQ(b.ResidentJobs(), ref_b.ResidentJobs());
+  }
+}
+
+// Re-rating revalues only the currency's holders, at
+// pool_tickets * share / max(demand, share), and keeps the loads fresh.
+TEST(StrideTest, RerateCurrencyRevaluesOnlyItsHolders) {
+  LocalStrideScheduler stride(8);
+  const CurrencyId mine(4);
+  const CurrencyId theirs(5);
+  stride.AddJob(JobId(0), 1, 1.0, mine, CurrencyShare::Of(1, 1.0));
+  stride.AddJob(JobId(1), 2, 1.0, mine, CurrencyShare::Of(2, 0.5));
+  stride.AddJob(JobId(2), 1, 5.0, theirs, CurrencyShare::Of(1, 1.0));
+  stride.AddJob(JobId(3), 1, 1.0);  // no currency
+  CurrencyDemand demand;
+  demand.Issue(CurrencyShare::Of(1, 1.0));
+  demand.Issue(CurrencyShare::Of(2, 0.5));
+  demand.Issue(CurrencyShare::Of(2, 1.0));  // a holder resident elsewhere
+  EXPECT_EQ(demand.value(), 4.0);
+  stride.RerateCurrency(mine, 8.0, demand);
+  EXPECT_EQ(stride.TicketsOf(JobId(0)), Tickets(2.0));
+  EXPECT_EQ(stride.TicketsOf(JobId(1)), Tickets(2.0));
+  EXPECT_EQ(stride.TicketsOf(JobId(2)), Tickets(5.0));
+  EXPECT_EQ(stride.TicketsOf(JobId(3)), Tickets(1.0));
+  EXPECT_EQ(stride.TicketLoad(), Tickets(10.0));
+  EXPECT_EQ(stride.CurrencyOfJob(JobId(1)), mine);
+  EXPECT_FALSE(stride.CurrencyOfJob(JobId(3)).valid());
+  // A lone holder is worth the whole pool, never more.
+  CurrencyDemand small;
+  small.Issue(CurrencyShare::Of(1, 1.0));
+  stride.RerateCurrency(theirs, 3.0, small);
+  EXPECT_EQ(stride.TicketsOf(JobId(2)), Tickets(3.0));
+}
+
 TEST(StrideDeathTest, InvalidOperations) {
   LocalStrideScheduler stride(4);
   EXPECT_DEATH(stride.AddJob(JobId(0), 5, 1.0), "fit");
@@ -286,6 +385,12 @@ TEST(StrideDeathTest, InvalidOperations) {
   EXPECT_DEATH(stride.AddJob(JobId(0), 1, 1.0), "already");
   EXPECT_DEATH(stride.RemoveJob(JobId(9)), "unknown");
   EXPECT_DEATH(stride.Charge(JobId(9), 1), "unknown");
+  // A job is resident in at most one stride of a shared slot table.
+  JobSlots shared;
+  LocalStrideScheduler a(4, {}, &shared);
+  LocalStrideScheduler b(4, {}, &shared);
+  a.AddJob(JobId(3), 1, 1.0);
+  EXPECT_DEATH(b.AddJob(JobId(3), 1, 1.0), "already");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace gfair::simkit {
@@ -102,6 +103,22 @@ TEST(SimulatorTest, CancelRepeatingFromInsideCallback) {
   sim.RunUntil(200);
   EXPECT_EQ(fires, 3);
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorTest, DestroyingSimulatorFreesRepeatingChains) {
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  {
+    Simulator sim;
+    sim.Every(10, [token] { ++*token; });
+    token.reset();
+    sim.RunUntil(35);
+    ASSERT_FALSE(watch.expired());
+    EXPECT_EQ(*watch.lock(), 3);
+  }
+  // The still-pending chain (and the callback capturing the token) must die
+  // with the simulator rather than keep itself alive.
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(SimulatorTest, CancelOneShot) {
