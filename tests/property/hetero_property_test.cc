@@ -5,6 +5,7 @@
 //  * crash storms never corrupt accounting invariants.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,13 @@ struct TradeSweepCase {
   int jobs_per_user;
   uint64_t seed;
 };
+
+// Names the case by its contents: the default printer dumps the raw bytes,
+// which hold the model-name pointers and so change from run to run.
+void PrintTo(const TradeSweepCase& c, std::ostream* os) {
+  *os << c.low_model << "-vs-" << c.high_model << "-" << c.jobs_per_user << "jobs-seed"
+      << c.seed;
+}
 
 class TradingSafety : public ::testing::TestWithParam<TradeSweepCase> {};
 
