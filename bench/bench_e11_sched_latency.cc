@@ -22,10 +22,10 @@
 //   GFAIR_E11_POINTS=a,b           restrict to a comma-separated subset of
 //                                  point keys (iterating on one scale point
 //                                  without paying for the full sweep).
-//                                  Opt-in points (the 100k-GPU steady_12500
-//                                  pair, whose fixtures take minutes to
-//                                  build) run only when named here and stay
-//                                  out of the CI baseline.
+//                                  Opt-in points (the 100k-GPU steady_12500,
+//                                  whose fixture takes minutes to build) run
+//                                  only when named here and stay out of the
+//                                  CI baseline.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -75,9 +75,6 @@ BENCHMARK(BM_StrideSelectForQuantum)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 // users), so the 12500-server points submit under 256 users.
 std::unique_ptr<analysis::Experiment> MakeTickCluster(int num_servers,
                                                       int jobs_per_server,
-                                                      int apply_threads = 1,
-                                                      int plan_shards = 1,
-                                                      int plan_threads = 1,
                                                       int num_users = 2) {
   analysis::ExperimentConfig config;
   config.topology = cluster::HomogeneousTopology(num_servers, 8);
@@ -87,11 +84,7 @@ std::unique_ptr<analysis::Experiment> MakeTickCluster(int num_servers,
   for (int u = 0; u < num_users; ++u) {
     users.push_back(exp->users().Create("u" + std::to_string(u)).id);
   }
-  sched::GandivaFairConfig gf;
-  gf.apply_threads = apply_threads;
-  gf.plan_shards = plan_shards;
-  gf.plan_threads = plan_threads;
-  exp->UseGandivaFair(gf);
+  exp->UseGandivaFair({});
   for (int i = 0; i < num_servers * jobs_per_server; ++i) {
     exp->SubmitAt(kTimeZero, users[static_cast<size_t>(i % num_users)],
                   "DCGAN", 1, Hours(100000));
@@ -131,8 +124,7 @@ BENCHMARK(BM_ClusterQuantumTick)
 void BM_ClusterQuantumTickSteady(benchmark::State& state) {
   const int num_servers = static_cast<int>(state.range(0));
   auto exp = MakeTickCluster(num_servers, /*jobs_per_server=*/8,
-                             /*apply_threads=*/1, /*plan_shards=*/1,
-                             /*plan_threads=*/1, FixtureUsers(num_servers));
+                             FixtureUsers(num_servers));
   SimTime now = exp->sim().Now();
   for (auto _ : state) {
     now += Minutes(1);
@@ -146,59 +138,6 @@ BENCHMARK(BM_ClusterQuantumTickSteady)
     ->Arg(250)
     ->Arg(1250)   // 10k GPUs
     ->Arg(12500)  // 100k GPUs
-    ->Unit(benchmark::kMicrosecond);
-
-// Sharded planning speedup curve: the same tick with the plan phase
-// partitioned into 32 shards (the partition is fixed; decisions are
-// bit-identical to the serial rows above) fanned over 1/2/4/8 threads.
-// steady sweeps the dirty-set-skip path at 10k and 100k GPUs; flip adds the
-// suspend/resume churn with apply_threads matched to plan_threads, i.e. the
-// fully multi-threaded tick.
-void BM_ClusterQuantumTickSteadySharded(benchmark::State& state) {
-  const int num_servers = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  auto exp = MakeTickCluster(num_servers, /*jobs_per_server=*/8,
-                             /*apply_threads=*/1, /*plan_shards=*/32, threads,
-                             FixtureUsers(num_servers));
-  SimTime now = exp->sim().Now();
-  for (auto _ : state) {
-    now += Minutes(1);
-    exp->Run(now);
-  }
-  state.SetLabel(std::to_string(num_servers * 8) + " GPUs, 32 shards / " +
-                 std::to_string(threads) + " threads, zero churn");
-}
-BENCHMARK(BM_ClusterQuantumTickSteadySharded)
-    ->Args({1250, 1})
-    ->Args({1250, 2})
-    ->Args({1250, 4})
-    ->Args({1250, 8})
-    ->Args({12500, 1})
-    ->Args({12500, 4})
-    ->Args({12500, 8})
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_ClusterQuantumTickSharded(benchmark::State& state) {
-  const int num_servers = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  auto exp = MakeTickCluster(num_servers, /*jobs_per_server=*/16,
-                             /*apply_threads=*/threads, /*plan_shards=*/32,
-                             threads);
-  SimTime now = exp->sim().Now();
-  for (auto _ : state) {
-    now += Minutes(1);
-    exp->Run(now);
-  }
-  state.SetLabel(std::to_string(num_servers * 8) + " GPUs, 32 shards / " +
-                 std::to_string(threads) + " threads, full flip");
-}
-BENCHMARK(BM_ClusterQuantumTickSharded)
-    ->Args({250, 1})
-    ->Args({250, 2})
-    ->Args({250, 4})
-    ->Args({250, 8})
-    ->Args({1250, 4})
-    ->Args({1250, 8})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_TradeEpoch(benchmark::State& state) {
@@ -262,11 +201,8 @@ BENCHMARK(BM_PaperScaleSimHour)->Unit(benchmark::kMillisecond);
 // Per-quantum wall-clock latency over `quanta` ticks (after a settling
 // prefix), sampled with the shared PercentileSampler.
 PercentileSampler MeasureTickLatency(int num_servers, int jobs_per_server,
-                                     int quanta, int apply_threads = 1,
-                                     int plan_shards = 1, int plan_threads = 1,
-                                     int num_users = 2) {
-  auto exp = MakeTickCluster(num_servers, jobs_per_server, apply_threads,
-                             plan_shards, plan_threads, num_users);
+                                     int quanta, int num_users = 2) {
+  auto exp = MakeTickCluster(num_servers, jobs_per_server, num_users);
   SimTime now = exp->sim().Now();
   for (int q = 0; q < 16; ++q) {  // settle stride state + allocator pools
     now += Minutes(1);
@@ -295,9 +231,6 @@ int RunSmoke() {
     const char* key;
     int servers;
     int jobs_per_server;
-    int apply_threads = 1;
-    int plan_shards = 1;
-    int plan_threads = 1;
     int num_users = 2;
     // Opt-in points run only when named in GFAIR_E11_POINTS: the 100k-GPU
     // fixtures take minutes to build and would dominate every CI smoke run.
@@ -306,15 +239,10 @@ int RunSmoke() {
   const std::vector<Point> points = {
       {"flip_25", 25, 16},    {"flip_64", 64, 16},   {"flip_125", 125, 16},
       {"flip_250", 250, 16},  {"flip_500", 500, 16},
-      {"flip_250_par4", 250, 16, 4},  // threaded ApplyDelta slices
       {"steady_64", 64, 8},   {"steady_250", 250, 8},
-      {"steady_1250", 1250, 8},  // 10k GPUs, serial planner
-      // 10k GPUs with the sharded parallel planner (32 shards / 8 threads);
-      // decisions are bit-identical to steady_1250, only the wall clock moves.
-      {"steady_1250_shard8", 1250, 8, 1, 32, 8},
-      // 100k-GPU scale points (opt-in; see FixtureUsers for the 256).
-      {"steady_12500", 12500, 8, 1, 1, 1, 256, true},
-      {"steady_12500_shard8", 12500, 8, 1, 32, 8, 256, true},
+      {"steady_1250", 1250, 8},  // 10k GPUs
+      // 100k-GPU scale point (opt-in; see FixtureUsers for the 256).
+      {"steady_12500", 12500, 8, 256, true},
   };
 
   const char* points_env = std::getenv("GFAIR_E11_POINTS");
@@ -344,8 +272,7 @@ int RunSmoke() {
     }
     const auto sampler =
         MeasureTickLatency(point.servers, point.jobs_per_server, 300,
-                           point.apply_threads, point.plan_shards,
-                           point.plan_threads, point.num_users);
+                           point.num_users);
     const bench::LatencySummary summary = bench::Summarize(sampler);
     std::cout << "E11 smoke " << point.key << ": p50 " << summary.p50
               << " us, p95 " << summary.p95 << " us, mean " << summary.mean

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/log.h"
-#include "common/thread_pool.h"
 
 namespace gfair::exec {
 
@@ -125,7 +124,7 @@ void Executor::ResumeWithOverlap(JobId id, SimDuration overlap_allowance) {
     // only the un-hidden prefix bubbles.
     const SimDuration hidden = std::min(seg.warmup, overlap_allowance);
     seg.warmup -= hidden;
-    acct_.AddOverlapSaved(hidden, common::ReduceToken{});
+    acct_.AddOverlapSaved(hidden);
   }
   seg.gen = server.generation();
   seg.rate = profile.GangThroughput(seg.gen, job.gang_size);
@@ -147,7 +146,7 @@ void Executor::ResumeWithOverlap(JobId id, SimDuration overlap_allowance) {
   job.state = JobState::kRunning;
   job.num_resumes += 1;
   job.overhead_ms += seg.warmup;
-  acct_.AddWarmupBubble(seg.warmup, common::ReduceToken{});
+  acct_.AddWarmupBubble(seg.warmup);
 }
 
 double Executor::SegmentProgress(const RunSegment& seg, SimDuration elapsed) {
@@ -224,166 +223,6 @@ void Executor::ApplyDelta(const ScheduleOp* ops, size_t count) {
   }
 }
 
-void Executor::ApplyDeltaParallel(const ApplySlice* slices, size_t num_slices,
-                                  common::ThreadPool& pool) {
-  // Serial prologue: pre-size every shared dense array and warm the lazy
-  // per-model cost cache, so the parallel phase performs no allocation and
-  // no first-touch initialization (either would race).
-  size_t total_ops = 0;
-  size_t max_job = 0;
-  for (size_t s = 0; s < num_slices; ++s) {
-    total_ops += slices[s].count;
-    for (size_t i = 0; i < slices[s].count; ++i) {
-      max_job = std::max(max_job, static_cast<size_t>(slices[s].ops[i].job.value()));
-      CostsFor(jobs_.Get(slices[s].ops[i].job).model);
-    }
-  }
-  if (total_ops == 0) {
-    return;
-  }
-  if (max_job >= segments_.size()) {
-    segments_.resize(max_job + 1);
-  }
-  prepared_scratch_.assign(total_ops, PreparedOp{});
-  std::vector<size_t> offsets(num_slices, 0);
-  for (size_t s = 1; s < num_slices; ++s) {
-    offsets[s] = offsets[s - 1] + slices[s - 1].count;
-  }
-
-  // gfair-parallel-apply-begin — the prepare fan-out. Only per-job /
-  // per-server state of the slice's own server may be touched here; every
-  // order-sensitive or global concern (running-list edits, timer
-  // arms/disarms, the acct_ accumulators, callbacks, RNG) belongs to the
-  // serial commit pass. gfair_lint's parallel-region-write rule enforces
-  // the denylist over this region.
-  // Parallel prepare: per-job and per-server state only. Slices target
-  // pairwise-distinct servers (caller contract), so two chunks never touch
-  // the same job, segment slot, or server occupancy.
-  pool.ParallelFor(num_slices, [&](size_t begin, size_t end) {
-    for (size_t s = begin; s < end; ++s) {
-      PreparedOp* prepared = prepared_scratch_.data() + offsets[s];
-      SimDuration overlap_allowance = 0;
-      for (size_t i = 0; i < slices[s].count; ++i) {
-        const ScheduleOp& op = slices[s].ops[i];
-        if (op.resume) {
-          prepared[i] = PrepareResume(op.job, overlap_allowance);
-        } else {
-          prepared[i] = PrepareSuspend(op.job);
-          if (config_.overlap_warmup) {
-            overlap_allowance = std::max(
-                overlap_allowance, model_costs_[jobs_.Get(op.job).model.value()].suspend);
-          }
-        }
-      }
-    }
-  });
-  // gfair-parallel-apply-end
-
-  // Serial commit, in op order: exactly the sequence of running-list edits,
-  // timer arms/disarms, counter bumps and accounting flushes the serial
-  // ApplyDelta performs — same event ids, same ledger stream.
-  for (size_t s = 0; s < num_slices; ++s) {
-    const PreparedOp* prepared = prepared_scratch_.data() + offsets[s];
-    for (size_t i = 0; i < slices[s].count; ++i) {
-      CommitOp(slices[s].ops[i], prepared[i]);
-    }
-  }
-}
-
-// gfair-parallel-apply-begin — PrepareResume/PrepareSuspend bodies run
-// concurrently across slices (same contract as the fan-out lambda above).
-Executor::PreparedOp Executor::PrepareResume(JobId id, SimDuration overlap_allowance) {
-  Job& job = jobs_.Get(id);
-  GFAIR_CHECK_MSG(job.state == JobState::kSuspended, "Resume requires a suspended job");
-  cluster::Server& server = cluster_.server(job.server);
-  GFAIR_CHECK_MSG(server.up(), "Resume on a down server");
-  GFAIR_CHECK_MSG(server.CanFit(job.gang_size), "Resume without free GPUs");
-  server.Allocate(id, job.gang_size);
-
-  const auto& profile = zoo_.Get(job.model);
-  RunSegment seg;
-  seg.start = sim_.Now();
-  seg.warmup = model_costs_[job.model.value()].resume;
-  SimDuration hidden = 0;
-  if (overlap_allowance > 0) {
-    hidden = std::min(seg.warmup, overlap_allowance);
-    seg.warmup -= hidden;
-  }
-  seg.gen = server.generation();
-  seg.rate = profile.GangThroughput(seg.gen, job.gang_size);
-  GFAIR_CHECK(seg.rate > 0.0);
-
-  const double remaining = job.remaining_minibatches();
-  GFAIR_CHECK(remaining > 0.0);
-  const SimDuration work_time =
-      static_cast<SimDuration>(std::ceil(remaining / seg.rate * kSecond));
-
-  seg.active = true;  // running_pos is assigned at commit
-  segments_[id.value()] = seg;
-  job.state = JobState::kRunning;
-  job.num_resumes += 1;
-  job.overhead_ms += seg.warmup;
-
-  PreparedOp out;
-  out.finish_at = seg.start + seg.warmup + work_time;
-  out.overlap_hidden = hidden;
-  return out;
-}
-
-Executor::PreparedOp Executor::PrepareSuspend(JobId id) {
-  Job& job = jobs_.Get(id);
-  GFAIR_CHECK_MSG(job.state == JobState::kRunning, "Suspend requires a running job");
-  RunSegment& seg = segments_[id.value()];
-  GFAIR_CHECK_MSG(seg.active, "job has no active run segment");
-  const SimTime now = sim_.Now();
-  const SimDuration elapsed = now - seg.start;
-
-  if (elapsed > 0) {
-    job.completed_minibatches = std::min(
-        job.total_minibatches, job.completed_minibatches + SegmentProgress(seg, elapsed));
-    job.gpu_ms_by_gen[cluster::GenerationIndex(seg.gen)] +=
-        static_cast<double>(elapsed) * job.gang_size;
-  }
-  cluster_.server(job.server).Release(job.id);
-  // seg.active flips at commit, together with the running-list edit it guards.
-
-  job.state = JobState::kSuspended;
-  job.num_suspends += 1;
-  job.overhead_ms += model_costs_[job.model.value()].suspend;
-  job.checkpointed_minibatches = job.completed_minibatches;
-
-  PreparedOp out;
-  out.user = job.user;
-  out.gen = seg.gen;
-  out.acct_start = seg.start;
-  out.gpus = job.gang_size;
-  out.flush_accounting = elapsed > 0;
-  return out;
-}
-// gfair-parallel-apply-end
-
-void Executor::CommitOp(const ScheduleOp& op, const PreparedOp& prepared) {
-  RunSegment& seg = segments_[op.job.value()];
-  if (op.resume) {
-    seg.running_pos = static_cast<uint32_t>(running_list_.size());
-    running_list_.push_back(op.job);
-    sim_.ArmTimerAt(FinishTimerFor(op.job), prepared.finish_at);
-    acct_.AddWarmupBubble(seg.warmup, common::ReduceToken{});
-    acct_.AddOverlapSaved(prepared.overlap_hidden, common::ReduceToken{});
-  } else {
-    sim_.DisarmTimer(finish_timer_[op.job.value()]);
-    if (prepared.flush_accounting && on_gpu_time_) {
-      on_gpu_time_(prepared.user, prepared.gen, prepared.acct_start, sim_.Now(),
-                   prepared.gpus);
-    }
-    const JobId moved = running_list_.back();
-    running_list_[seg.running_pos] = moved;
-    segments_[moved.value()].running_pos = seg.running_pos;
-    running_list_.pop_back();
-    seg.active = false;
-  }
-}
-
 void Executor::InjectCrash(JobId id) {
   Job& job = jobs_.Get(id);
   GFAIR_CHECK_MSG(job.state == JobState::kRunning || job.state == JobState::kSuspended,
@@ -453,8 +292,8 @@ void Executor::DoMigrate(JobId id, ServerId dest, double transfer_fraction) {
   job.num_migrations += 1;
   job.checkpointed_minibatches = job.completed_minibatches;
   migrations_in_flight_ += 1;
-  acct_.AddTransfer(wire_gb, common::ReduceToken{});
-  acct_.AddBubble(latency, common::ReduceToken{});
+  acct_.AddTransfer(wire_gb);
+  acct_.AddBubble(latency);
   sim_.After(latency, [this, id, dest]() { FinishMigration(id, dest); });
 }
 
@@ -482,8 +321,8 @@ void Executor::StartPreCopy(JobId id, ServerId dest) {
   const SimDuration bulk =
       static_cast<SimDuration>(static_cast<double>(transfer) * stretch);
   migrations_in_flight_ += 1;
-  acct_.AddTransfer(wire_gb, common::ReduceToken{});
-  acct_.CountPrecopyStarted(common::ReduceToken{});
+  acct_.AddTransfer(wire_gb);
+  acct_.CountPrecopyStarted();
   pending_precopies_.push_back(PendingPrecopy{id, job.server, dest});
   const ServerId source = job.server;
   sim_.After(bulk, [this, id, source, dest]() { PrecopyCutover(id, source, dest); });
@@ -510,7 +349,7 @@ void Executor::PrecopyCutover(JobId id, ServerId source, ServerId dest) {
       (job.state == JobState::kRunning || job.state == JobState::kSuspended) &&
       job.server == source;
   if (!still_at_source) {
-    acct_.CountPrecopyAborted(common::ReduceToken{});
+    acct_.CountPrecopyAborted();
     GFAIR_DLOG << "pre-copy of job " << id << " abandoned (job left server "
                << source << ")";
     return;
@@ -519,9 +358,9 @@ void Executor::PrecopyCutover(JobId id, ServerId source, ServerId dest) {
     // The destination died mid-flight. Unlike a stop-and-copy landing
     // failure this is cheap — the job kept running at its source — but it
     // is still an attributed failure for E10/E14.
-    acct_.CountFailureDestDown(common::ReduceToken{});
+    acct_.CountFailureDestDown();
     job.num_migration_failures += 1;
-    acct_.CountPrecopyAborted(common::ReduceToken{});
+    acct_.CountPrecopyAborted();
     GFAIR_DLOG << "pre-copy of job " << id << " to server " << dest
                << " failed: destination down";
     if (on_migration_failed_) {
@@ -535,7 +374,7 @@ void Executor::PrecopyCutover(JobId id, ServerId source, ServerId dest) {
   // same server — which abandons the transfer like any other stale bulk.
   const bool proceeded = on_precopy_cutover_ && on_precopy_cutover_(id, dest);
   if (!proceeded) {
-    acct_.CountPrecopyAborted(common::ReduceToken{});
+    acct_.CountPrecopyAborted();
   }
 }
 
@@ -566,9 +405,9 @@ void Executor::FinishMigration(JobId id, ServerId dest) {
 
   moved.num_migration_failures += 1;
   if (dest_down) {
-    acct_.CountFailureDestDown(common::ReduceToken{});
+    acct_.CountFailureDestDown();
   } else {
-    acct_.CountFailureFlake(common::ReduceToken{});
+    acct_.CountFailureFlake();
   }
   // The checkpoint is durable, so the job falls back to its source — unless
   // the source died too while the transfer was in flight, which orphans it.
@@ -604,14 +443,14 @@ void Executor::OrphanJob(Job& job) {
   job.state = JobState::kQueued;
   job.server = ServerId::Invalid();
   job.num_orphanings += 1;
-  acct_.CountOrphaned(common::ReduceToken{});
+  acct_.CountOrphaned();
 }
 
 void Executor::FailServer(ServerId id) {
   cluster::Server& server = cluster_.server(id);
   GFAIR_CHECK_MSG(server.up(), "FailServer on a server that is already down");
   cluster_.SetServerUp(id, false);
-  acct_.CountServerFailure(common::ReduceToken{});
+  acct_.CountServerFailure();
   GFAIR_DLOG << "server " << id << " failed at " << FormatDuration(sim_.Now());
 
   // Evacuate executor state for every resident job BEFORE any scheduler
@@ -644,7 +483,7 @@ void Executor::FailServer(ServerId id) {
 void Executor::RecoverServer(ServerId id) {
   GFAIR_CHECK_MSG(!cluster_.server(id).up(), "RecoverServer on an up server");
   cluster_.SetServerUp(id, true);
-  acct_.CountServerRecovery(common::ReduceToken{});
+  acct_.CountServerRecovery();
   GFAIR_DLOG << "server " << id << " recovered at " << FormatDuration(sim_.Now());
   if (on_server_up_) {
     on_server_up_(id);

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "common/phase_tokens.h"
 #include "common/rng.h"
 #include "exec/schedule_op.h"
 #include "common/sim_time.h"
@@ -41,10 +40,6 @@
 #include "simkit/simulator.h"
 #include "workload/job.h"
 #include "workload/model_zoo.h"
-
-namespace gfair::common {
-class ThreadPool;
-}
 
 namespace gfair::exec {
 
@@ -101,37 +96,25 @@ struct ExecutorConfig {
 };
 
 // Global migration / fault accounting: lifetime counters plus the
-// byte/bubble accumulators the E10/E14 benches report. These are exactly
-// the cross-slice cells ApplyDeltaParallel's prepare fan-out must NOT touch
-// (a `+=` from two slices is a lost-update race, and a double accumulation
-// order change breaks bit-identity), so every mutator requires a
-// common::ReduceToken — mintable only by the Executor (and the scheduler
-// facade) at points that are serial by construction: event handlers,
-// migration landings, and the serial commit pass of the parallel apply.
-// Parallel code reaching for an accumulator is a compile error (pinned by a
-// WILL_FAIL negative-compile ctest); reads are unrestricted.
+// byte/bubble accumulators the E10/E14 benches report. Only the Executor
+// mutates them (event handlers, migration landings and the apply path);
+// reads are unrestricted.
 class MigrationAccounting {
  public:
-  // --- mutators (serial phase only; see common/phase_tokens.h) ---
-  void AddTransfer(double wire_gb, common::ReduceToken) { bytes_gb_ += wire_gb; }
-  void AddBubble(SimDuration latency, common::ReduceToken) {
-    bubble_ms_ += latency;
-  }
-  void AddWarmupBubble(SimDuration warmup, common::ReduceToken) {
-    warmup_bubble_ms_ += warmup;
-  }
-  void AddOverlapSaved(SimDuration hidden, common::ReduceToken) {
-    overlap_saved_ms_ += hidden;
-  }
-  void CountServerFailure(common::ReduceToken) { server_failures_ += 1; }
-  void CountServerRecovery(common::ReduceToken) { server_recoveries_ += 1; }
-  void CountFailureDestDown(common::ReduceToken) { failures_dest_down_ += 1; }
-  void CountFailureFlake(common::ReduceToken) { failures_flake_ += 1; }
-  void CountOrphaned(common::ReduceToken) { jobs_orphaned_ += 1; }
-  void CountPrecopyStarted(common::ReduceToken) { precopies_started_ += 1; }
-  void CountPrecopyAborted(common::ReduceToken) { precopies_aborted_ += 1; }
+  // --- mutators ---
+  void AddTransfer(double wire_gb) { bytes_gb_ += wire_gb; }
+  void AddBubble(SimDuration latency) { bubble_ms_ += latency; }
+  void AddWarmupBubble(SimDuration warmup) { warmup_bubble_ms_ += warmup; }
+  void AddOverlapSaved(SimDuration hidden) { overlap_saved_ms_ += hidden; }
+  void CountServerFailure() { server_failures_ += 1; }
+  void CountServerRecovery() { server_recoveries_ += 1; }
+  void CountFailureDestDown() { failures_dest_down_ += 1; }
+  void CountFailureFlake() { failures_flake_ += 1; }
+  void CountOrphaned() { jobs_orphaned_ += 1; }
+  void CountPrecopyStarted() { precopies_started_ += 1; }
+  void CountPrecopyAborted() { precopies_aborted_ += 1; }
 
-  // --- getters (any phase) ---
+  // --- getters ---
   double bytes_gb() const { return bytes_gb_; }
   SimDuration bubble_ms() const { return bubble_ms_; }
   SimDuration warmup_bubble_ms() const { return warmup_bubble_ms_; }
@@ -230,24 +213,6 @@ class Executor {
   void ApplyDelta(const std::vector<ScheduleOp>& ops) {
     ApplyDelta(ops.data(), ops.size());
   }
-
-  // One per-server run of consecutive ops inside a ScheduleDelta.
-  struct ApplySlice {
-    const ScheduleOp* ops;
-    size_t count;
-  };
-
-  // Applies many per-server slices with the per-job/per-server work fanned
-  // out across `pool` and a serial commit pass in slice order. Slices must
-  // target pairwise-distinct servers (disjoint jobs and GPUs by
-  // construction); under that precondition the result — state, decision
-  // order, event ids, accounting stream — is bit-identical to calling
-  // ApplyDelta on each slice in order, because everything order-sensitive
-  // (running-list maintenance, finish-timer arms, accounting flushes) is
-  // replayed serially in op order by the commit pass. Suspend/resume draw no
-  // RNG, so the fan-out cannot perturb streams.
-  void ApplyDeltaParallel(const ApplySlice* slices, size_t num_slices,
-                          common::ThreadPool& pool);
 
   // suspended -> migrating -> suspended on `dest` after the migration
   // latency. The migration-done callback then fires.
@@ -360,8 +325,7 @@ class Executor {
   SimDuration warmup_bubble_ms() const { return acct_.warmup_bubble_ms(); }
   SimDuration overlap_saved_ms() const { return acct_.overlap_saved_ms(); }
 
-  // The full accounting block (token-gated mutators live on the class
-  // itself; see MigrationAccounting above).
+  // The full accounting block (see MigrationAccounting above).
   const MigrationAccounting& accounting() const { return acct_; }
 
   const ExecutorConfig& config() const { return config_; }
@@ -455,29 +419,6 @@ class Executor {
   };
   std::vector<PendingPrecopy> pending_precopies_;
 
-  // Deferred per-op commit state for ApplyDeltaParallel: everything the
-  // parallel prepare pass computed but must apply serially in op order.
-  struct PreparedOp {
-    SimTime finish_at = 0;             // resumes: when the finish timer fires
-    SimDuration overlap_hidden = 0;    // resumes: warm-up hidden by overlap
-    UserId user;                       // suspends: deferred accounting args
-    cluster::GpuGeneration gen{};
-    SimTime acct_start = 0;
-    int gpus = 0;
-    bool flush_accounting = false;  // suspends: elapsed > 0, ledger owed
-  };
-  std::vector<PreparedOp> prepared_scratch_;
-
-  // ApplyDeltaParallel's three passes (see the public method for the
-  // contract): prepare runs concurrently across slices and touches only
-  // per-job/per-server state; commit replays the order-sensitive remainder
-  // serially in op order.
-  PreparedOp PrepareResume(JobId id, SimDuration overlap_allowance);
-  PreparedOp PrepareSuspend(JobId id);
-  void CommitOp(const ScheduleOp& op, const PreparedOp& prepared);
-
-  // Committed only at serial points, through the ReduceToken-gated
-  // mutators (an audit of every site is in the class comment above).
   MigrationAccounting acct_;
 
   JobFinishedCallback on_finished_;

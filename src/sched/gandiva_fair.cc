@@ -49,34 +49,7 @@ GandivaFairScheduler::GandivaFairScheduler(const SchedulerEnv& env,
       trader_(env_, config_, index_, residency_, ticket_matrix_, decisions_, *this),
       planner_(ClusterStateView(env_.cluster, index_)),
       differ_(env_.jobs, env_.exec, ClusterStateView(env_.cluster, index_)),
-      tick_pool_(std::max(config_.plan_threads, config_.apply_threads) > 1
-                     ? std::make_unique<common::ThreadPool>(
-                           std::max(config_.plan_threads, config_.apply_threads))
-                     : nullptr),
-      checker_(env_, *this) {
-  GFAIR_CHECK(config_.plan_shards >= 1);
-  GFAIR_CHECK(config_.plan_threads >= 1);
-  GFAIR_CHECK(config_.apply_threads >= 1);
-  if (config_.plan_shards > 1) {
-    // Fixed contiguous ceil-division partition of the server ids: shard s
-    // owns [s * span, (s + 1) * span). The partition depends only on
-    // (num_servers, plan_shards), never on runtime state, which is half of
-    // the determinism argument (the other half is the shard-order merge).
-    const size_t num_servers = static_cast<size_t>(env_.cluster.num_servers());
-    const size_t shards =
-        std::min<size_t>(static_cast<size_t>(config_.plan_shards),
-                         std::max<size_t>(num_servers, 1));
-    const size_t span = (num_servers + shards - 1) / shards;
-    const ClusterStateView view(env_.cluster, index_);
-    shards_.reserve(shards);
-    for (size_t s = 0; s < shards; ++s) {
-      shards_.emplace_back(QuantumPlanner(view),
-                           PlanDiffer(env_.jobs, env_.exec, view),
-                           std::min(s * span, num_servers),
-                           std::min((s + 1) * span, num_servers));
-    }
-  }
-}
+      checker_(env_, *this) {}
 
 GpuGeneration GandivaFairScheduler::GenOf(ServerId server) const {
   return env_.cluster.server(server).generation();
@@ -316,76 +289,22 @@ void GandivaFairScheduler::QuantumTick() {
   // whole quantum's ops for introspection.
   plan_.Clear();
   delta_.Clear();
-  if (!shards_.empty()) {
-    // Sharded tick (plan_shards > 1): fan the per-shard charge/plan/diff
-    // across the tick pool (or run the shards inline when plan_threads is
-    // 1 — same seam, no threads). Every cell the fan-out touches — a
-    // stride's passes and heap, a job's info and charge clock, a server's
-    // plan-dirty byte — belongs to exactly one shard's servers, so the
-    // shards commute; the serial reduce then replays the deferred RNG
-    // draws and merges the shard streams in ascending server order, making
-    // the tick bit-identical to the serial path for any shard count.
-    slice_begins_.clear();
-    if (tick_pool_ && config_.plan_threads > 1) {
-      tick_pool_->ParallelFor(shards_.size(), [this](size_t begin, size_t end) {
-        for (size_t s = begin; s < end; ++s) {
-          // One ShardToken per shard, minted inside the fan-out: it unlocks
-          // exactly the shard's own PlanShard state (phase_tokens.h).
-          PlanShardRange(shards_[s], common::ShardToken{});
-        }
-      });
+  for (const auto& server : env_.cluster.servers()) {
+    if (!server.up()) {
+      continue;
+    }
+    const ServerId id = server.id();
+    ChargeAndSample(id);
+    LocalStrideScheduler& stride = index_.stride(id);
+    if (planner_.PlanServerOrSkip(id, &plan_)) {
+      const SchedulePlan::ServerTarget& target = plan_.servers.back();
+      stride.AdvanceVirtualTime(target.min_runnable_pass);
+      index_.ClearPlanDirty(id);
+      const size_t ops_begin = delta_.ops.size();
+      differ_.DiffServer(plan_, target, &delta_);
+      ApplyDeltaSlice(ops_begin);
     } else {
-      for (PlanShard& shard : shards_) {
-        PlanShardRange(shard, common::ShardToken{});
-      }
-    }
-    // The fan-out has joined — this thread is the tick's serial reduce and
-    // may mint the ReduceToken unlocking cross-shard state.
-    ReduceShards(common::ReduceToken{});
-    ApplyMergedSlices();
-  } else if (tick_pool_ && config_.apply_threads > 1) {
-    // Two-pass tick (apply_threads > 1): charge/plan/diff every server
-    // first, then batch the per-server slices across the pool. Nothing in
-    // the first pass consumes event ids or RNG beyond what the fused loop
-    // does at the same point in server order, and slices touch disjoint
-    // servers/jobs, so the streams match the serial path bit for bit.
-    slice_begins_.clear();
-    for (const auto& server : env_.cluster.servers()) {
-      if (!server.up()) {
-        continue;
-      }
-      const ServerId id = server.id();
-      ChargeAndSample(id, common::ReduceToken{});
-      LocalStrideScheduler& stride = index_.stride(id);
-      if (planner_.PlanServerOrSkip(id, &plan_)) {
-        const SchedulePlan::ServerTarget& target = plan_.servers.back();
-        stride.AdvanceVirtualTime(target.min_runnable_pass);
-        index_.ClearPlanDirty(id);
-        slice_begins_.push_back(delta_.ops.size());
-        differ_.DiffServer(plan_, target, &delta_);
-      } else {
-        stride.AdvanceVirtualTime(plan_.skipped_vt.back().second);
-      }
-    }
-    ApplyMergedSlices();
-  } else {
-    for (const auto& server : env_.cluster.servers()) {
-      if (!server.up()) {
-        continue;
-      }
-      const ServerId id = server.id();
-      ChargeAndSample(id, common::ReduceToken{});
-      LocalStrideScheduler& stride = index_.stride(id);
-      if (planner_.PlanServerOrSkip(id, &plan_)) {
-        const SchedulePlan::ServerTarget& target = plan_.servers.back();
-        stride.AdvanceVirtualTime(target.min_runnable_pass);
-        index_.ClearPlanDirty(id);
-        const size_t ops_begin = delta_.ops.size();
-        differ_.DiffServer(plan_, target, &delta_);
-        ApplyDeltaSlice(ops_begin);
-      } else {
-        stride.AdvanceVirtualTime(plan_.skipped_vt.back().second);
-      }
+      stride.AdvanceVirtualTime(plan_.skipped_vt.back().second);
     }
   }
 
@@ -408,8 +327,7 @@ void GandivaFairScheduler::QuantumTick() {
 #endif
 }
 
-void GandivaFairScheduler::ChargeAndSample(ServerId server,
-                                           common::ReduceToken token) {
+void GandivaFairScheduler::ChargeAndSample(ServerId server) {
   LocalStrideScheduler& stride = index_.stride(server);
   const GpuGeneration gen = GenOf(server);
   const SimTime now = env_.sim.Now();
@@ -428,126 +346,7 @@ void GandivaFairScheduler::ChargeAndSample(ServerId server,
       info.last_charge = now;
       trader_.RecordSample(info.model, gen,
                            PerGpuRate::FromGangRate(env_.exec.SampleObservedRate(id),
-                                                    info.gang_size),
-                           token);
-    }
-  }
-}
-
-// gfair-shard-parallel-begin — ChargeServer and PlanShardRange run
-// concurrently across shards. Only per-server / per-job state of the
-// shard's own contiguous id range may be touched here; every cross-shard
-// concern (RNG draws, the merged plan_/delta_, decisions, migrations)
-// belongs to ReduceShards and later. gfair_lint's shard-locality rule
-// enforces the denylist over this region.
-void GandivaFairScheduler::ChargeServer(
-    ServerId server, std::vector<PendingSample>* pending_samples,
-    common::ShardToken) {
-  LocalStrideScheduler& stride = index_.stride(server);
-  const GpuGeneration gen = GenOf(server);
-  const SimTime now = env_.sim.Now();
-  const std::vector<JobId>& resident = stride.ResidentJobs();
-  for (size_t i = 0; i < resident.size(); ++i) {
-    if (i + 1 < resident.size()) {
-      env_.exec.PrefetchJobState(resident[i + 1]);
-      residency_.PrefetchInfo(resident[i + 1]);
-    }
-    const JobId id = resident[i];
-    if (env_.exec.IsRunning(id)) {
-      ResidencyIndex::JobInfo& info = residency_.Info(id);
-      stride.Charge(id, now - info.last_charge);
-      info.last_charge = now;
-      // The profiler sample draws from the executor's single RNG stream, so
-      // it is deferred: the reduce step replays the buffered jobs in
-      // ascending server order, reproducing the serial tick's draw order
-      // exactly. Everything but the rate is captured here, while info is
-      // hot, so the replay touches only executor segment state per job.
-      pending_samples->push_back(PendingSample{id, info.model, gen, info.gang_size});
-    }
-  }
-}
-
-void GandivaFairScheduler::PlanShardRange(PlanShard& shard,
-                                          common::ShardToken token) {
-  shard.BeginTick(token);
-  const std::vector<cluster::Server>& servers = env_.cluster.servers();
-  for (size_t s = shard.server_begin(); s < shard.server_end(); ++s) {
-    const cluster::Server& server = servers[s];
-    if (!server.up()) {
-      continue;
-    }
-    const ServerId id = server.id();
-    ChargeServer(id, &shard.pending_samples(token), token);
-    LocalStrideScheduler& stride = index_.stride(id);
-    if (shard.planner(token).PlanServerOrSkip(id, &shard.plan(token))) {
-      const SchedulePlan::ServerTarget& target = shard.plan(token).servers.back();
-      stride.AdvanceVirtualTime(target.min_runnable_pass);
-      index_.ClearPlanDirty(id);
-      shard.slice_begins(token).push_back(shard.delta(token).ops.size());
-      shard.differ(token).DiffServer(shard.plan(token), target,
-                                     &shard.delta(token));
-    } else {
-      stride.AdvanceVirtualTime(shard.plan(token).skipped_vt.back().second);
-    }
-  }
-}
-// gfair-shard-parallel-end
-
-void GandivaFairScheduler::ReduceShards(common::ReduceToken token) {
-  // Serial reduce: the only stage allowed to touch cross-shard state (its
-  // ReduceToken unlocks the shard merge and the profiler feed). Shards
-  // partition the ids in ascending contiguous ranges and are merged in
-  // shard order, so every stream below — sample draws, plan entries, delta
-  // ops, slice offsets — comes out in exactly the serial planner's
-  // ascending-server-order, independent of shard and thread count.
-  for (const PlanShard& shard : shards_) {
-    // Profiler samples: one RNG draw per running job, in charge order. The
-    // jobs' segment state is scattered by id, so pipeline the next lookup
-    // behind the current draw (as the charge walks do).
-    const std::vector<PendingSample>& samples = shard.pending_samples(token);
-    for (size_t i = 0; i < samples.size(); ++i) {
-      if (i + 1 < samples.size()) {
-        env_.exec.PrefetchJobState(samples[i + 1].job);
-      }
-      const PendingSample& sample = samples[i];
-      trader_.RecordSample(
-          sample.model, sample.gen,
-          PerGpuRate::FromGangRate(env_.exec.SampleObservedRate(sample.job),
-                                   sample.gang_size),
-          token);
-    }
-    shard.MergeInto(&plan_, &delta_, &slice_begins_, token);
-  }
-}
-
-void GandivaFairScheduler::ApplyMergedSlices() {
-  if (tick_pool_ && config_.apply_threads > 1) {
-    // slice_scratch_ materializes the ApplySlice pointers only now —
-    // delta_.ops can no longer reallocate.
-    slice_scratch_.clear();
-    for (size_t s = 0; s < slice_begins_.size(); ++s) {
-      const size_t begin = slice_begins_[s];
-      const size_t end =
-          s + 1 < slice_begins_.size() ? slice_begins_[s + 1] : delta_.ops.size();
-      if (begin < end) {
-        slice_scratch_.push_back(
-            exec::Executor::ApplySlice{delta_.ops.data() + begin, end - begin});
-      }
-    }
-    if (!slice_scratch_.empty()) {
-      env_.exec.ApplyDeltaParallel(slice_scratch_.data(), slice_scratch_.size(),
-                                   *tick_pool_);
-      RecordAppliedOps(0, delta_.ops.size());
-    }
-  } else {
-    for (size_t s = 0; s < slice_begins_.size(); ++s) {
-      const size_t begin = slice_begins_[s];
-      const size_t end =
-          s + 1 < slice_begins_.size() ? slice_begins_[s + 1] : delta_.ops.size();
-      if (begin < end) {
-        env_.exec.ApplyDelta(delta_.ops.data() + begin, end - begin);
-        RecordAppliedOps(begin, end);
-      }
+                                                    info.gang_size));
     }
   }
 }
@@ -558,10 +357,6 @@ void GandivaFairScheduler::ApplyDeltaSlice(size_t ops_begin) {
     return;
   }
   env_.exec.ApplyDelta(delta_.ops.data() + ops_begin, ops_end - ops_begin);
-  RecordAppliedOps(ops_begin, ops_end);
-}
-
-void GandivaFairScheduler::RecordAppliedOps(size_t ops_begin, size_t ops_end) {
   const SimTime now = env_.sim.Now();
   for (size_t i = ops_begin; i < ops_end; ++i) {
     const exec::ScheduleOp& op = delta_.ops[i];

@@ -25,12 +25,6 @@
 //               ->  diff  ->  Executor::ApplyDelta (the server's batch)
 //               ->  record decisions
 //
-// With plan_shards > 1 the same pipeline runs per contiguous server shard
-// on ThreadPool threads (sample draws deferred), a serial reduce step
-// replays the samples and merges the shard plans/deltas in ascending server
-// order, and the apply consumes the merged slices — bit-identical decisions
-// for any shard count (see DESIGN.md "Sharded planning").
-//
 // (see docs/ARCHITECTURE.md "The quantum tick" for the full walk-through).
 // Combines, on top of the Executor substrate:
 //   * per-server gang-aware stride schedulers driven by a global quantum tick
@@ -45,19 +39,15 @@
 #ifndef GFAIR_SCHED_GANDIVA_FAIR_H_
 #define GFAIR_SCHED_GANDIVA_FAIR_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/phase_tokens.h"
-#include "common/thread_pool.h"
 #include "sched/cluster_state_index.h"
 #include "sched/decision_log.h"
 #include "sched/invariant_checker.h"
 #include "sched/ledger.h"
 #include "sched/placement_engine.h"
 #include "sched/plan_differ.h"
-#include "sched/plan_shard.h"
 #include "sched/load_balancer.h"
 #include "sched/profiler.h"
 #include "sched/quantum_planner.h"
@@ -131,42 +121,6 @@ struct GandivaFairConfig {
   // pass or trade epoch may move it again) — it is never left migrating.
   int migration_max_retries = 3;
   SimDuration migration_retry_backoff = Seconds(30);
-
-  // --- quantum-tick actuation ---
-  // Threads (counting the caller) batching the per-server ApplyDelta slices
-  // at each quantum tick. 1 = fully serial fused pipeline (the default).
-  // >1 = two-pass tick: charge/plan/diff every server first, then fan the
-  // per-server slices across a ThreadPool via Executor::ApplyDeltaParallel.
-  // Slices target disjoint servers/jobs/GPUs by construction and everything
-  // order-sensitive is committed serially in op order, so the decision log,
-  // event-id stream, RNG draws and accounting are bit-identical to the
-  // serial path (the decision-log cross-check test pins this).
-  int apply_threads = 1;
-
-  // --- sharded parallel planning ---
-  // Shards the tick's plan phase: servers are partitioned into plan_shards
-  // fixed contiguous id ranges and each shard runs charge + plan + commit +
-  // diff into its own planner/differ/plan/delta (the per-server dirty-set
-  // skip keeps each shard's work proportional to its churn). A serial
-  // reduce step then owns every cross-shard concern: the profiler sample
-  // draws (the executor RNG stays one serial stream), the plan/delta merge,
-  // and the apply-slice bookkeeping. Balancer / steal / trade
-  // MigrationDirectives never run inside the shard fan-out — they are
-  // emitted between ticks or after the apply, straight into the merged
-  // plan. Because shards are contiguous ascending id ranges merged in shard
-  // order, the merged streams are exactly the serial planner's
-  // ascending-server-order streams — bit-identical for ANY shard count
-  // (the equivalence suite and the shard-count-invariance test pin this).
-  // 1 = the unsharded pipeline (the default). Counts above the server count
-  // are clamped.
-  int plan_shards = 1;
-  // Threads (counting the caller) fanning the shards across the tick's
-  // ThreadPool. 1 plans the shards inline on the caller (still exercising
-  // the shard/reduce seam); >1 shares one pool with the parallel apply,
-  // sized max(plan_threads, apply_threads). Thread count never affects
-  // decisions — only shard state is touched in the fan-out, and the merge
-  // reads it in shard order.
-  int plan_threads = 1;
 };
 
 // Exponential migration-retry backoff for 1-based attempt k:
@@ -251,48 +205,13 @@ class GandivaFairScheduler : public IScheduler, private ISchedulerHost {
   // Periodic events.
   void QuantumTick();
 
-  // Quantum pipeline stages (see class comment). The fork-join phases carry
-  // phase-capability tokens (common/phase_tokens.h): a ShardToken is minted
-  // per shard inside the fan-out and unlocks only that shard's PlanShard
-  // state; a ReduceToken is minted only at serial points and unlocks the
-  // cross-shard merge, the deferred profiler-sample replay and the
-  // executor's global accounting. Only this facade (and the executor, for
-  // ReduceToken) can mint them, so phase violations are compile errors.
+  // Quantum pipeline stages (see class comment).
   // Stride pass charging + profiler feeding for one up server, fused into a
-  // single resident walk (both touch exactly the running jobs). Serial by
-  // construction — hence the ReduceToken for the profiler feed.
-  void ChargeAndSample(ServerId server, common::ReduceToken token);
-  // The shard-parallel half of ChargeAndSample: charges one up server's
-  // stride passes and buffers its running jobs for the reduce step's serial
-  // sample replay (the draw itself consumes the executor's single RNG
-  // stream, so it cannot run here).
-  void ChargeServer(ServerId server, std::vector<PendingSample>* pending_samples,
-                    common::ShardToken token);
-  // The per-shard parallel phase: charge / plan-or-skip / commit / diff
-  // every up server of the shard's range into the shard's own plan + delta
-  // (sched/plan_shard.h). Runs concurrently across shards — touches only
-  // per-server and per-job state owned by the shard's range, unlocked by
-  // the shard's token (gfair_lint's shard-locality rule additionally
-  // enforces a cross-shard denylist over the region).
-  void PlanShardRange(PlanShard& shard, common::ShardToken token);
-  // The serial reduce step — the only stage that may touch cross-shard
-  // state (it holds the tick's ReduceToken). Replays the buffered profiler
-  // samples in ascending server order (one RNG stream, serial draw order),
-  // then merges the per-shard plans and deltas into
-  // plan_/delta_/slice_begins_; shard order is ascending server order, so
-  // the merged streams equal the serial planner's for any shard count.
-  void ReduceShards(common::ReduceToken token);
-  // Applies the merged delta_ slice by slice: per-server serial ApplyDelta
-  // when apply_threads == 1, one ApplyDeltaParallel batch otherwise. Also
-  // the apply tail of the unsharded two-pass path.
-  void ApplyMergedSlices();
+  // single resident walk (both touch exactly the running jobs).
+  void ChargeAndSample(ServerId server);
   // Applies delta_.ops[ops_begin..end) — one diffed server's batch — then
   // records the decisions and resets resumed jobs' charge clocks.
   void ApplyDeltaSlice(size_t ops_begin);
-  // The decision/charge-clock bookkeeping shared by both apply paths: one
-  // DecisionLog record per op (in op order) and a last_charge reset per
-  // resume.
-  void RecordAppliedOps(size_t ops_begin, size_t ops_end);
 
   // Mid-quantum work conservation (arrivals/finishes/landed migrations).
   void FillIdleGpus(ServerId server);
@@ -372,20 +291,6 @@ class GandivaFairScheduler : public IScheduler, private ISchedulerHost {
   PlanDiffer differ_;
   SchedulePlan plan_;
   ScheduleDelta delta_;
-
-  // The tick's fork-join pool, shared by the two fan-outs — the shard plan
-  // phase (plan_threads) and the parallel apply (apply_threads) — sized
-  // max(plan_threads, apply_threads); null when both are 1.
-  // slice_begins_ records each diffed server's offset into delta_.ops
-  // during the plan pass (or the reduce merge); slice_scratch_ materializes
-  // the ApplySlice pointers only after the pass, since delta_.ops may
-  // reallocate while growing.
-  std::unique_ptr<common::ThreadPool> tick_pool_;
-  std::vector<size_t> slice_begins_;
-  std::vector<exec::Executor::ApplySlice> slice_scratch_;
-  // Plan shards (empty when plan_shards <= 1): fixed contiguous partition
-  // of the server ids, sized once at construction.
-  std::vector<PlanShard> shards_;
 
   // Post-quantum cluster-wide invariant sweep (declared last: reads the
   // subsystems above through `*this` but never mutates them).

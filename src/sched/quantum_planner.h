@@ -5,9 +5,8 @@
 // (the per-server stride selection). No side effects — the planner mutates
 // neither the executor, the residency, nor the strides; committing the plan
 // (virtual-time advance, dirty-flag clear, suspend/resume) is the facade's
-// job. That purity is what allows diffing against a live cluster, replanning
-// in tests without perturbing a run, and — later — sharding the per-server
-// loop across threads.
+// job. That purity is what allows diffing against a live cluster and
+// replanning in tests without perturbing a run.
 //
 // Dirty-set skip. A server is planned only when its schedule can have
 // changed; otherwise it is skipped outright and per-quantum planning cost

@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/phase_tokens.h"
 #include "sched/cluster_state_index.h"
 #include "sched/decision_log.h"
 #include "sched/policy/allocation_policy.h"
@@ -41,12 +40,8 @@ class TradeCoordinator {
   // Profiling: one observed-rate sample for a running job (the facade's
   // fused charge+sample loop feeds this every quantum, normalizing the
   // whole-gang rate with PerGpuRate::FromGangRate at the executor boundary).
-  // The sample draw consumes the executor's single RNG stream, so feeding
-  // the profiler is a serial-phase operation: the ReduceToken (mintable
-  // only at the tick's serial points — see common/phase_tokens.h) makes
-  // calling this from the shard fan-out a compile error.
   void RecordSample(workload::ModelId model, cluster::GpuGeneration gen,
-                    PerGpuRate per_gpu_rate, common::ReduceToken) {
+                    PerGpuRate per_gpu_rate) {
     profiles_.AddSample(model, gen, per_gpu_rate);
   }
 

@@ -1,32 +1,36 @@
-// gfair-lint-fixture: src/exec/example.cc
-// Seeded violations for the raw-mutex rule: outside src/common/, the bare
-// std:: locking vocabulary is banned — unannotated locks are invisible to
-// clang -Wthread-safety, so everything they guard drops out of the
-// compile-time proof. Lock through the annotated wrappers instead.
+// gfair-lint-fixture: src/common/example.cc
+// Seeded violations for the raw-mutex rule: the tree is single-threaded by
+// design, so every lock, condition variable and thread spawn is banned
+// everywhere in src/, bench/ and tools/ — src/common/ included.
 #include <mutex>  // EXPECT-LINT: raw-mutex
+#include <thread>  // EXPECT-LINT: raw-mutex
 
-#include "common/mutex.h"
-
-namespace gfair::exec {
+namespace gfair::common {
 
 void Example() {
-  // The annotated vocabulary is fine anywhere (case-sensitive match: Mutex,
-  // MutexLock and CondVar are different tokens from mutex).
-  common::Mutex annotated;
-  common::MutexLock hold(annotated);
-  common::CondVar cv;
-
   std::mutex raw;  // EXPECT-LINT: raw-mutex
   std::lock_guard<std::mutex> guard(raw);  // EXPECT-LINT: raw-mutex
   std::unique_lock<std::mutex> lock(raw);  // EXPECT-LINT: raw-mutex
   std::condition_variable raw_cv;  // EXPECT-LINT: raw-mutex
   std::shared_lock<std::shared_mutex> reader(rw);  // EXPECT-LINT: raw-mutex
 
+  // Thread spawns (<thread> itself is flagged above): a C++20 jthread, a
+  // std::async task and the raw POSIX call all fan work out the same way.
+  std::jthread worker([] {});  // EXPECT-LINT: raw-mutex
+  auto task = std::async([] { return 1; });  // EXPECT-LINT: raw-mutex
+  pthread_create(&tid, nullptr, Body, nullptr);  // EXPECT-LINT: raw-mutex
+
+  // Case-sensitive whole words: identifiers that merely contain a banned
+  // word (thread_count, Mutex, async_total) never fire.
+  int thread_count = 1;
+  int async_total = thread_count;
+  (void)async_total;
+
   // Prose and strings never fire: the stripper blanks "std::mutex" here.
-  const char* label = "std::mutex";
+  const char* label = "std::mutex and a worker thread";
   (void)label;
 
-  std::scoped_lock both(raw, raw);  // gfair-lint: allow(raw-mutex) -- models a sanctioned migration shim awaiting its wrapper
+  std::scoped_lock both(raw, raw);  // gfair-lint: allow(raw-mutex) -- models a parallel path that has shown its measured win
 }
 
-}  // namespace gfair::exec
+}  // namespace gfair::common

@@ -261,130 +261,6 @@ void TraceDrivenScenario(ExpT& exp, SchedT& /*sched*/) {
   exp.Run(horizon);
 }
 
-// Fault-churn scenario for the parallel-apply cross-check: oversubscribed
-// mixed-gang load (every quantum flips schedules on every server) with two
-// server failure/recovery cycles mid-run, so apply slices interleave with
-// orphan re-placement, migration retries and recovery placements.
-template <typename ExpT, typename SchedT>
-void FaultChurnScenario(ExpT& exp, SchedT& /*sched*/) {
-  auto& a = exp.users().Create("a");
-  auto& b = exp.users().Create("b", 2.0);
-  const int gangs[] = {1, 2, 1, 4, 1, 2, 8, 1};
-  for (int i = 0; i < 96; ++i) {  // ~2x oversubscription on 8x8 GPUs
-    exp.SubmitAt(Minutes(i % 7), (i % 2 == 0 ? a : b).id, "DCGAN", gangs[i % 8],
-                 Hours(3 + (i % 4)));
-  }
-  exp.Run(Hours(1));
-  exp.exec().FailServer(ServerId(2));
-  exp.Run(Hours(1) + Minutes(31));
-  exp.exec().FailServer(ServerId(5));
-  exp.Run(Hours(2));
-  exp.exec().RecoverServer(ServerId(2));
-  exp.Run(Hours(2) + Minutes(17));
-  exp.exec().RecoverServer(ServerId(5));
-  exp.Run(Hours(5));
-}
-
-// The tentpole's determinism gate: apply_threads > 1 batches the per-server
-// ApplyDelta slices across a thread pool, and the run must stay bit-identical
-// to the serial fused pipeline — same decisions, same finish times — even
-// with fault churn interleaved. Any hidden cross-slice dependency (shared
-// RNG, event-id draw, occupancy coupling) would diverge the streams here.
-TEST(EquivalenceTest, ParallelApplyDecisionStreamMatchesSerialUnderFaultChurn) {
-  ExperimentConfig config;
-  config.topology = cluster::HomogeneousTopology(8, 8);
-  const GandivaFairConfig serial_gf;
-  GandivaFairConfig parallel_gf;
-  parallel_gf.apply_threads = 4;
-  const RunResult serial = RunWith<GandivaFairScheduler>(
-      config, serial_gf, [](auto& exp, auto& s) { FaultChurnScenario(exp, s); });
-  const RunResult parallel = RunWith<GandivaFairScheduler>(
-      config, parallel_gf, [](auto& exp, auto& s) { FaultChurnScenario(exp, s); });
-  EXPECT_GT(serial.counts[static_cast<size_t>(DecisionType::kSuspend)], 0);
-  EXPECT_GT(serial.counts[static_cast<size_t>(DecisionType::kResume)], 0);
-  EXPECT_GT(serial.counts[static_cast<size_t>(DecisionType::kPlace)], 0);
-  ExpectIdentical(serial, parallel);
-}
-
-// The sharded planner's determinism gate: plan_shards > 1 plans contiguous
-// server shards on pool threads with deferred RNG draws, and the merged
-// streams must stay bit-identical to the serial fused pipeline under fault
-// churn — where orphan re-placements, migration retries and recovery
-// placements all cross shard boundaries between ticks. A hidden cross-shard
-// dependency in the fan-out (shared scratch, RNG order, dirty-set coupling)
-// would diverge the streams here.
-TEST(EquivalenceTest, ShardedPlanDecisionStreamMatchesSerialUnderFaultChurn) {
-  ExperimentConfig config;
-  config.topology = cluster::HomogeneousTopology(8, 8);
-  const GandivaFairConfig serial_gf;
-  GandivaFairConfig sharded_gf;
-  sharded_gf.plan_shards = 4;
-  sharded_gf.plan_threads = 4;
-  const RunResult serial = RunWith<GandivaFairScheduler>(
-      config, serial_gf, [](auto& exp, auto& s) { FaultChurnScenario(exp, s); });
-  const RunResult sharded = RunWith<GandivaFairScheduler>(
-      config, sharded_gf, [](auto& exp, auto& s) { FaultChurnScenario(exp, s); });
-  EXPECT_GT(serial.counts[static_cast<size_t>(DecisionType::kSuspend)], 0);
-  EXPECT_GT(serial.counts[static_cast<size_t>(DecisionType::kResume)], 0);
-  ExpectIdentical(serial, sharded);
-
-  // Both fan-outs at once: the sharded plan phase and the parallel apply
-  // share one tick pool and must still reproduce the serial streams.
-  GandivaFairConfig combined_gf;
-  combined_gf.plan_shards = 4;
-  combined_gf.plan_threads = 2;
-  combined_gf.apply_threads = 4;
-  const RunResult combined = RunWith<GandivaFairScheduler>(
-      config, combined_gf, [](auto& exp, auto& s) { FaultChurnScenario(exp, s); });
-  ExpectIdentical(serial, combined);
-}
-
-// Shard-count invariance on the E6-style homogeneous scenario: every fixed
-// shard count — including one that exceeds the server count and gets
-// clamped — must produce the serial planner's exact decision log. The
-// partition is a fixed ascending-id split merged in shard order, so the
-// count can only matter if some per-shard state leaks across the cut.
-TEST(EquivalenceTest, ShardCountInvarianceOnHomogeneousScenario) {
-  ExperimentConfig config;
-  config.topology = cluster::HomogeneousTopology(25, 8);
-  const GandivaFairConfig serial_gf;
-  const RunResult serial = RunWith<GandivaFairScheduler>(
-      config, serial_gf, [](auto& exp, auto& s) { HomogeneousScenario(exp, s); });
-  EXPECT_GT(serial.counts[static_cast<size_t>(DecisionType::kSuspend)], 0);
-  EXPECT_GT(serial.migrations, 0);
-  for (const int shards : {2, 4, 8, 64}) {
-    GandivaFairConfig sharded_gf;
-    sharded_gf.plan_shards = shards;
-    sharded_gf.plan_threads = 2;
-    const RunResult sharded = RunWith<GandivaFairScheduler>(
-        config, sharded_gf, [](auto& exp, auto& s) { HomogeneousScenario(exp, s); });
-    SCOPED_TRACE("plan_shards=" + std::to_string(shards));
-    ExpectIdentical(serial, sharded);
-  }
-}
-
-// Shard-count invariance on the E14-style paper-scale trace: the widest
-// surface — trace-driven arrivals/finishes, trading, balancing and stealing
-// interleaved with sharded ticks — across 2/4/8 shards.
-TEST(EquivalenceTest, ShardCountInvarianceOnTraceDrivenScenario) {
-  ExperimentConfig config;
-  config.topology = cluster::PaperScaleTopology();
-  config.seed = 2020;
-  const GandivaFairConfig serial_gf;
-  const RunResult serial = RunWith<GandivaFairScheduler>(
-      config, serial_gf, [](auto& exp, auto& s) { TraceDrivenScenario(exp, s); });
-  EXPECT_GT(serial.counts[static_cast<size_t>(DecisionType::kPlace)], 0);
-  for (const int shards : {2, 4, 8}) {
-    GandivaFairConfig sharded_gf;
-    sharded_gf.plan_shards = shards;
-    sharded_gf.plan_threads = 4;
-    const RunResult sharded = RunWith<GandivaFairScheduler>(
-        config, sharded_gf, [](auto& exp, auto& s) { TraceDrivenScenario(exp, s); });
-    SCOPED_TRACE("plan_shards=" + std::to_string(shards));
-    ExpectIdentical(serial, sharded);
-  }
-}
-
 TEST(EquivalenceTest, TraceDrivenPaperScaleDecisionStreamMatchesLegacy) {
   ExperimentConfig config;
   config.topology = cluster::PaperScaleTopology();

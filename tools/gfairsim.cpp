@@ -28,15 +28,14 @@
 //   --diurnal A      sinusoidal day/night arrival modulation, 0<=A<1 (default 0)
 //   --trace F    load jobs from CSV (see workload/trace_io.h) instead of --user
 //   --save-trace F   write the generated trace as CSV and continue
-//   --quantum-s N    scheduling quantum                          (default 60)
-//   --plan-shards N  shard the tick's plan phase (decisions unchanged)
-//   --plan-threads N threads fanning the plan shards             (default 1)
+//   --quantum-s N    scheduling quantum, 0.001 s to one day      (default 60)
 //   --no-trading / --no-balancing / --no-stealing   disable mechanisms
 //   --trade-rate borrower|geometric                              (default borrower)
 //   --csv PREFIX     also write result tables as PREFIX_*.csv
 //   --dump-decisions F   write the scheduler's decision-log tail to a file
 //   --snapshot       print the end-of-run cluster snapshot (GandivaFair only)
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -75,7 +74,6 @@ void PrintHelp() {
       "  --trace file.csv | --save-trace file.csv\n"
       "  --no-trading --no-balancing --no-stealing --trade-rate borrower|geometric\n"
       "  --alloc-policy greedy|themis|gavel  trade-epoch allocation backend\n"
-      "  --plan-shards N --plan-threads N    sharded parallel quantum planning\n"
       "  --csv PREFIX --dump-decisions FILE\n");
 }
 
@@ -410,7 +408,17 @@ int main(int argc, char** argv) {
 
   // --- policy configuration ---
   sched::GandivaFairConfig sched_config;
-  sched_config.quantum = Seconds(args.GetDouble("quantum-s", 60.0));
+  // The quantum is checked before it reaches Seconds(): a non-finite or
+  // huge value overflows the float->int64 rounding, and one that rounds to
+  // 0 ms is a zero simulator period.
+  double quantum_s = 60.0;
+  if (args.Has("quantum-s") &&
+      (!args.TryGetDouble("quantum-s", &quantum_s) || !std::isfinite(quantum_s) ||
+       quantum_s < 0 || quantum_s > ToSeconds(kDay) || Seconds(quantum_s) < 1)) {
+    return Fail("--quantum-s must round to at least 1 ms and be at most one day, got '" +
+                args.GetString("quantum-s") + "'");
+  }
+  sched_config.quantum = Seconds(quantum_s);
   sched_config.enable_trading = !args.GetBool("no-trading");
   sched_config.enable_load_balancing = !args.GetBool("no-balancing");
   sched_config.enable_work_stealing = !args.GetBool("no-stealing");
@@ -425,21 +433,6 @@ int main(int argc, char** argv) {
     return Fail(alloc_error);
   }
   sched_config.allocation_policy = alloc_policy;
-  // --plan-shards / --plan-threads shard the quantum tick's plan phase
-  // (see GandivaFairConfig: decisions are bit-identical for any values).
-  // Validated here so a typo fails fast with the accepted range.
-  const int64_t plan_shards = args.GetInt("plan-shards", 1);
-  if (plan_shards < 1 || plan_shards > 65536) {
-    return Fail("--plan-shards must be an integer in [1, 65536], got " +
-                std::to_string(plan_shards));
-  }
-  const int64_t plan_threads = args.GetInt("plan-threads", 1);
-  if (plan_threads < 1 || plan_threads > 512) {
-    return Fail("--plan-threads must be an integer in [1, 512], got " +
-                std::to_string(plan_threads));
-  }
-  sched_config.plan_shards = static_cast<int>(plan_shards);
-  sched_config.plan_threads = static_cast<int>(plan_threads);
   const std::string decisions_path = args.GetString("dump-decisions");
   const bool want_snapshot = args.GetBool("snapshot");
 

@@ -429,7 +429,7 @@ std::vector<Sink> FindSinks(const SourceFile& f, const UnorderedNames& names,
 
 bool IsDecisionRoot(const FunctionDef& def, const std::string& rel) {
   static const std::set<std::string> kRootClasses = {
-      "QuantumPlanner", "PlanDiffer", "PlanShard", "LocalStrideScheduler",
+      "QuantumPlanner", "PlanDiffer", "LocalStrideScheduler",
       "TradeCoordinator"};
   if (kRootClasses.count(def.qualifier) > 0) {
     return true;

@@ -76,51 +76,18 @@ const std::vector<Rule>& Rules() {
        "boundary, append '// gfair-lint: allow(unit-unwrap-outside-boundary)' "
        "with the argument",
        {}},
-      {"shard-locality", "src/sched/ gfair-shard-parallel regions",
-       "per-shard planning code touches cross-shard mutable scheduler state; "
-       "the region runs concurrently across shards, so only the shard's own "
-       "servers/jobs may be mutated — cross-shard concerns (the merged "
-       "plan/delta, decisions, RNG draws, migrations) belong to the serial "
-       "reduce step",
-       "buffer the per-shard result (sample lists, plan, delta, slice "
-       "offsets) in the PlanShard and replay/merge it in ReduceShards after "
-       "the fan-out joins; a provably serial line inside the region may "
-       "append '// gfair-lint: allow(shard-locality)' with the argument; the "
-       "denylist is kShardCrossStateTokens in tools/lint/rules.cc",
-       {}},
-      {"raw-mutex", "src/, bench/, tools/ (except src/common/)",
-       "bare std:: locking primitive; an unannotated lock is invisible to "
-       "clang -Wthread-safety, so the compile-time lock/data-race proof "
-       "silently excludes everything it guards",
-       "lock through common::Mutex / common::MutexLock / common::CondVar "
-       "(common/mutex.h — annotated as thread-safety capabilities) and mark "
-       "the shared members GFAIR_GUARDED_BY the mutex; a new primitive needs "
-       "an annotated wrapper in src/common/ first",
-       {}},
-      {"mutex-unannotated", "class members declared after a mutex member",
-       "data member after a mutex member lacks GFAIR_GUARDED_BY, so the "
-       "thread-safety analysis cannot tie it to its lock and unlocked access "
-       "compiles silently",
-       "annotate the member GFAIR_GUARDED_BY(<mutex>) "
-       "(common/thread_annotations.h); deliberately unguarded members belong "
-       "above the mutex in the class layout (the convention "
-       "common/thread_pool.h documents); a member with an external "
-       "happens-before argument may append "
-       "'// gfair-lint: allow(mutex-unannotated)' with the argument",
-       {"src/common/mutex.h"}},
-      {"parallel-region-write", "src/exec/ gfair-parallel-apply regions",
-       "parallel apply's prepare fan-out touches serial-commit state; the "
-       "region runs concurrently across slices, so running-list edits, timer "
-       "arms/disarms, accounting accumulators, callbacks and RNG draws here "
-       "are data races and reorder the committed stream",
-       "return the value from the prepare step (PreparedOp) and apply it in "
-       "the serial commit pass after the join; a provably serial line inside "
-       "the region may append '// gfair-lint: allow(parallel-region-write)' "
-       "with the argument; the denylist is kApplySerialOnlyTokens in "
-       "tools/lint/rules.cc",
+      {"raw-mutex", "src/, bench/, tools/",
+       "concurrency primitive (a lock, condition variable or thread spawn); "
+       "the simulator is single-threaded by design, so one lock or thread "
+       "makes every schedule depend on thread interleaving instead of "
+       "(trace, seed)",
+       "keep the code serial; a parallel path may return only with a "
+       "same-moment A/B showing a >= 1.5x wall-clock win on 4 cores, and then "
+       "carries '// gfair-lint: allow(raw-mutex)' with that argument on each "
+       "line",
        {}},
       {"det-taint",
-       "src/ decision roots: QuantumPlanner, PlanDiffer, PlanShard, "
+       "src/ decision roots: QuantumPlanner, PlanDiffer, "
        "LocalStrideScheduler, TradeCoordinator, IAllocationPolicy backends "
        "(src/sched/policy/*::Allocate)",
        "a decision root reaches a nondeterminism sink (wall-clock read, "
@@ -600,110 +567,24 @@ void CheckUnitUnwrapOutsideBoundary(const SourceFile& f, Emitter* emit) {
   }
 }
 
-// Cross-shard mutable state and serial-only entry points, matched as whole
-// words inside gfair-shard-parallel regions: the facade members every shard
-// would share (merged plan/delta, slice bookkeeping, decision log, the
-// subsystems, fault/retry queues) plus the calls whose global order — or
-// RNG stream — the serial reduce step owns.
-const std::vector<std::string> kShardCrossStateTokens = {
-    // Shared facade state (the per-shard twins live in PlanShard and carry
-    // no trailing underscore).
-    "plan_", "delta_", "slice_begins_", "slice_scratch_", "decisions_",
-    "trader_", "balancer_", "placement_", "checker_", "ledger_",
-    "ticket_matrix_", "pending_orphans_", "retry_", "planner_", "differ_",
-    // Serial-only calls: RNG draws, profiler feeding, migrations, applies,
-    // decision recording, work conservation.
-    "SampleObservedRate", "RecordSample", "EmitMigration", "ExecuteMigration",
-    "ApplyDelta", "ApplyDeltaParallel", "ApplyDeltaSlice", "RecordAppliedOps",
-    "FillIdleGpus", "TrySteal", "ReplaceOrphan",
-    // The serial-phase capability itself: minting (or naming) a ReduceToken
-    // inside the fan-out would defeat the phase-token scheme at its root.
-    "ReduceToken",
-};
-
-// Serial-commit state and entry points of the executor's parallel apply,
-// matched as whole words inside gfair-parallel-apply regions: the prepare
-// fan-out runs concurrently across slices, so the running list, timer wheel,
-// migration accounting, completion callbacks and the RNG streams — plus the
-// commit/migration entry points that mutate them — stay untouched until the
-// serial commit pass after the join.
-const std::vector<std::string> kApplySerialOnlyTokens = {
-    // Shared mutable executor state.
-    "acct_", "running_list_", "rng_", "fault_rng_", "sync_scratch_",
-    "finish_timer_", "migrations_in_flight_", "pending_precopies_",
-    // Callbacks (arbitrary scheduler re-entry; serial by contract).
-    "on_finished_", "on_migrated_", "on_migration_failed_", "on_orphaned_",
-    "on_server_down_", "on_server_up_", "on_gpu_time_", "on_precopy_cutover_",
-    // Serial-only entry points.
-    "ArmTimerAt", "DisarmTimer", "FinishTimerFor", "CommitOp", "OnFinishEvent",
-    "DoMigrate", "FinishMigration", "PrecopyCutover", "OrphanJob",
-    // The serial-phase capability: naming it here means smuggling it in.
-    "ReduceToken",
-};
-
-// Shared fence walker: scans <marker>-begin/-end regions (the markers live
-// in comments, so they are matched on raw lines) for denylisted tokens on
-// the stripped code lines.
-void CheckRegionFence(const SourceFile& f, const Rule& rule,
-                      const std::string& marker,
-                      const std::vector<std::string>& tokens, Emitter* emit) {
-  const std::string begin_marker = marker + "-begin";
-  const std::string end_marker = marker + "-end";
-  bool in_region = false;
-  for (size_t li = 0; li < f.raw.size(); ++li) {
-    if (f.raw[li].find(begin_marker) != std::string::npos) {
-      in_region = true;
-      continue;
-    }
-    if (f.raw[li].find(end_marker) != std::string::npos) {
-      in_region = false;
-      continue;
-    }
-    if (!in_region || li >= f.code.size()) {
-      continue;
-    }
-    for (const std::string& token : tokens) {
-      if (HasWord(f.code[li], token)) {
-        emit->Emit(rule, f, li);
-        break;
-      }
-    }
-  }
-}
-
-void CheckShardLocality(const SourceFile& f, Emitter* emit) {
-  if (!StartsWith(f.rel, "src/sched/")) {
-    return;
-  }
-  CheckRegionFence(f, *FindRule("shard-locality"), "gfair-shard-parallel",
-                   kShardCrossStateTokens, emit);
-}
-
-void CheckParallelRegionWrite(const SourceFile& f, Emitter* emit) {
-  if (!StartsWith(f.rel, "src/exec/")) {
-    return;
-  }
-  CheckRegionFence(f, *FindRule("parallel-region-write"),
-                   "gfair-parallel-apply", kApplySerialOnlyTokens, emit);
-}
-
 // ---------------------------------------------------------------------------
-// Concurrency-contract rules (common/mutex.h companions).
+// Concurrency ban: the tree stays single-threaded.
 // ---------------------------------------------------------------------------
 
 void CheckRawMutex(const SourceFile& f, Emitter* emit) {
-  if (!InLintedTree(f.rel) || StartsWith(f.rel, "src/common/")) {
+  if (!InLintedTree(f.rel)) {
     return;
   }
   const Rule& rule = *FindRule("raw-mutex");
-  // Case-sensitive whole words, so the annotated wrappers (Mutex, MutexLock,
-  // CondVar) never fire. Include paths are quoted strings and get stripped;
-  // `#include <mutex>` stays visible, which is exactly right — pulling the
-  // header in is the first step of the violation.
+  // Case-sensitive whole words. Include paths are quoted strings and get
+  // stripped; `#include <mutex>` or `<thread>` stays visible, which is
+  // exactly right — pulling the header in is the first step of the
+  // violation.
   static const std::vector<std::string> kTokens = {
       "mutex", "timed_mutex", "recursive_mutex", "shared_mutex",
       "lock_guard", "unique_lock", "scoped_lock", "shared_lock",
-      "condition_variable", "condition_variable_any"};
+      "condition_variable", "condition_variable_any",
+      "thread", "jthread", "async", "pthread_create"};
   for (size_t i = 0; i < f.code.size(); ++i) {
     for (const std::string& t : kTokens) {
       if (HasWord(f.code[i], t)) {
@@ -711,82 +592,6 @@ void CheckRawMutex(const SourceFile& f, Emitter* emit) {
         break;
       }
     }
-  }
-}
-
-// True when the stripped line declares a mutex data member: a whole-word
-// Mutex/mutex type token followed by an identifier ending in '_' and then
-// ';', '=' or '{'. "std::unique_lock<std::mutex> lock_;" also matches via
-// the '>' skip — fine, a stored lock object is a synchronization member too.
-bool DeclaresMutexMember(const std::string& code) {
-  static const std::vector<std::string> kMutexWords = {
-      "Mutex", "mutex", "timed_mutex", "recursive_mutex", "shared_mutex"};
-  for (const std::string& word : kMutexWords) {
-    for (size_t pos : FindWord(code, word)) {
-      size_t i = pos + word.size();
-      while (i < code.size() && (IsSpace(code[i]) || code[i] == '>')) ++i;
-      size_t j = i;
-      while (j < code.size() && IsIdentChar(code[j])) ++j;
-      if (j == i || code[j - 1] != '_') {
-        continue;  // members end in '_' in this tree
-      }
-      size_t k = j;
-      while (k < code.size() && IsSpace(code[k])) ++k;
-      if (k < code.size() && (code[k] == ';' || code[k] == '=' || code[k] == '{')) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-// A data-member declaration line: an identifier ending in '_' immediately
-// followed (mod spaces) by ';', '=' or '{'. Locals and parameters never end
-// in '_' in this tree, and an annotated member puts GFAIR_GUARDED_BY(...)
-// between the name and its terminator, so annotated lines don't match.
-bool LooksLikeMemberDecl(const std::string& code) {
-  for (size_t i = 0; i < code.size(); ++i) {
-    if (!IsIdentChar(code[i])) {
-      continue;
-    }
-    size_t j = i;
-    while (j < code.size() && IsIdentChar(code[j])) ++j;
-    if (code[j - 1] == '_') {
-      size_t k = j;
-      while (k < code.size() && IsSpace(code[k])) ++k;
-      if (k < code.size() && (code[k] == ';' || code[k] == '=' || code[k] == '{')) {
-        return true;
-      }
-    }
-    i = j;
-  }
-  return false;
-}
-
-void CheckMutexUnannotated(const SourceFile& f, Emitter* emit) {
-  if (!InLintedTree(f.rel)) {
-    return;
-  }
-  const Rule& rule = *FindRule("mutex-unannotated");
-  bool after_mutex = false;
-  for (size_t li = 0; li < f.code.size(); ++li) {
-    const std::string& code = f.code[li];
-    if (Trim(code) == "};") {
-      after_mutex = false;  // end of the class body (conservatively)
-      continue;
-    }
-    if (DeclaresMutexMember(code)) {
-      after_mutex = true;
-      continue;
-    }
-    if (!after_mutex || !LooksLikeMemberDecl(code)) {
-      continue;
-    }
-    if (code.find("GFAIR_GUARDED_BY") != std::string::npos ||
-        code.find("GFAIR_PT_GUARDED_BY") != std::string::npos) {
-      continue;
-    }
-    emit->Emit(rule, f, li);
   }
 }
 
@@ -897,10 +702,7 @@ void RunLineRules(const SourceFile& f, const UnorderedNames& names,
   CheckUnorderedIter(f, names, emit);
   CheckRawDoubleInSchedApi(f, emit);
   CheckUnitUnwrapOutsideBoundary(f, emit);
-  CheckShardLocality(f, emit);
-  CheckParallelRegionWrite(f, emit);
   CheckRawMutex(f, emit);
-  CheckMutexUnannotated(f, emit);
 }
 
 }  // namespace gfair_lint
