@@ -2,6 +2,10 @@
 // Runs the full zoo on the heterogeneous paper-scale cluster for 12 hours
 // with trading+probing enabled, then compares the profiler's learned V100/K80
 // speedup per model against the zoo's ground truth.
+//
+// Exits non-zero when the main run covers fewer than 11 of the 12 models or
+// its worst V100/K80 error exceeds 12%: the run is deterministic, so the gate
+// measures the profiler, not the machine.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -11,6 +15,13 @@
 #include "workload/trace_gen.h"
 
 using namespace gfair;
+
+namespace {
+
+constexpr int kMinCovered = 11;
+constexpr double kMaxWorstErrorPct = 12.0;
+
+}  // namespace
 
 int main() {
   analysis::ExperimentConfig config;
@@ -120,5 +131,13 @@ int main() {
   }
   sweep.Report("E7b: profiler error vs observation noise (8h, 16 K80 + 16 V100)",
                "e7_noise_sweep");
+
+  if (covered < kMinCovered || worst_error > kMaxWorstErrorPct) {
+    std::cerr << "E7 gate failed: coverage " << covered << "/" << exp.zoo().size()
+              << " (need >= " << kMinCovered << "), worst error "
+              << FormatDouble(worst_error, 1) << "% (need <= "
+              << FormatDouble(kMaxWorstErrorPct, 1) << "%)\n";
+    return 1;
+  }
   return 0;
 }

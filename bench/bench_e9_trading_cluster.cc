@@ -5,7 +5,9 @@
 // steady-state snapshot workload. We measure each user's useful-work rate
 // over the second half of a 12-hour run (first half = profiling + trade
 // convergence), with trading on vs off on identical workloads. Trading must
-// raise aggregate useful work while leaving no user's rate materially lower.
+// raise aggregate useful work while leaving no user's rate materially lower;
+// the binary exits non-zero when either claim fails (the runs are
+// deterministic, so the gate measures the scheduler, not the machine).
 #include <array>
 #include <iostream>
 #include <string>
@@ -210,5 +212,11 @@ int main() {
   summary.Report("E9 summary", "e9_trading_cluster_summary");
   std::cout << "Users losing >3% useful work under trading: " << losers
             << " (paper's guarantee: none).\n";
+  if (losers > 0 || !(traded.total_work > no_trade.total_work)) {
+    std::cerr << "E9 gate failed: " << losers << " user(s) lose >3%, total useful work "
+              << FormatDouble(no_trade.total_work, 0) << " -> "
+              << FormatDouble(traded.total_work, 0) << " K80-GPU-h\n";
+    return 1;
+  }
   return 0;
 }

@@ -11,7 +11,7 @@ namespace gfair {
 // Numerically stable running mean/variance (Welford's algorithm).
 class RunningStats {
  public:
-  // Inline: the profiler calls this once per running job per quantum.
+  // Inline: a per-sample update meant for hot loops.
   void Add(double x) {
     if (count_ == 0) {
       min_ = max_ = x;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -12,6 +13,41 @@ using cluster::GpuGeneration;
 using workload::Job;
 using workload::JobState;
 
+std::vector<std::string> ExecutorConfig::Validate() const {
+  std::vector<std::string> errors;
+  // Written as !(in range) so NaN fails every check.
+  if (!(std::isfinite(rate_noise) && rate_noise >= 0.0)) {
+    errors.push_back("rate_noise must be finite and >= 0, got " + std::to_string(rate_noise));
+  }
+  if (!(migrate_failure_prob >= 0.0 && migrate_failure_prob <= 1.0)) {
+    errors.push_back("migrate_failure_prob must be in [0, 1], got " +
+                     std::to_string(migrate_failure_prob));
+  }
+  if (!(precopy_dirty_fraction >= 0.0 && precopy_dirty_fraction <= 1.0)) {
+    errors.push_back("precopy_dirty_fraction must be in [0, 1], got " +
+                     std::to_string(precopy_dirty_fraction));
+  }
+  if (!(compress_ratio > 0.0)) {
+    errors.push_back("compress_ratio must be > 0, got " + std::to_string(compress_ratio));
+  }
+  if (!(migrate_bw_gbps > 0.0)) {
+    errors.push_back("migrate_bw_gbps must be > 0, got " + std::to_string(migrate_bw_gbps));
+  }
+  return errors;
+}
+
+namespace {
+
+std::string JoinErrors(const std::vector<std::string>& errors) {
+  std::string joined = "invalid ExecutorConfig:";
+  for (const std::string& error : errors) {
+    joined += " " + error + ";";
+  }
+  return joined;
+}
+
+}  // namespace
+
 Executor::Executor(simkit::Simulator& sim, cluster::Cluster& cluster,
                    const workload::ModelZoo& zoo, workload::JobTable& jobs,
                    ExecutorConfig config, uint64_t seed)
@@ -21,7 +57,10 @@ Executor::Executor(simkit::Simulator& sim, cluster::Cluster& cluster,
       jobs_(jobs),
       config_(config),
       rng_(seed),
-      fault_rng_(seed ^ 0x9E3779B97F4A7C15ULL) {}
+      fault_rng_(seed ^ 0x9E3779B97F4A7C15ULL) {
+  const std::vector<std::string> errors = config_.Validate();
+  GFAIR_CHECK_MSG(errors.empty(), JoinErrors(errors).c_str());
+}
 
 SimDuration Executor::SuspendLatency(workload::ModelId model) const {
   const auto& profile = zoo_.Get(model);
@@ -162,19 +201,9 @@ Executor::RunSegment& Executor::SegmentOf(JobId id) {
 void Executor::CloseSegment(Job& job, bool cancel_finish_event) {
   RunSegment& seg = SegmentOf(job.id);
   const SimTime now = sim_.Now();
-  const SimDuration elapsed = now - seg.start;
-
-  // elapsed == 0 contributes exactly 0.0 to both accumulators, so skipping
-  // the arithmetic is bit-identical — and it is the common case at quantum
-  // edges, where SyncAll has just restarted every segment at `now`.
-  if (elapsed > 0) {
-    job.completed_minibatches = std::min(
-        job.total_minibatches, job.completed_minibatches + SegmentProgress(seg, elapsed));
-    job.gpu_ms_by_gen[cluster::GenerationIndex(seg.gen)] +=
-        static_cast<double>(elapsed) * job.gang_size;
-    if (on_gpu_time_) {
-      on_gpu_time_(job.user, seg.gen, seg.start, now, job.gang_size);
-    }
+  const int64_t gpu_ms = AdvanceSegment(job, seg, now);
+  if (gpu_ms > 0 && on_gpu_time_) {
+    on_gpu_time_(job.user, seg.gen, now, gpu_ms);
   }
 
   if (cancel_finish_event) {
@@ -490,23 +519,69 @@ void Executor::RecoverServer(ServerId id) {
   }
 }
 
-double Executor::SampleObservedRate(JobId id) {
-  GFAIR_CHECK_MSG(IsRunning(id), "SampleObservedRate requires a running job");
-  const double noise = std::max(0.1, rng_.Normal(1.0, config_.rate_noise));
-  return segments_[id.value()].rate * noise;
+double Executor::ObservedGroupRate(workload::ModelId model, GpuGeneration gen, int gang,
+                                   int64_t jobs) {
+  GFAIR_CHECK(jobs > 0);
+  const double stddev = config_.rate_noise / std::sqrt(static_cast<double>(jobs));
+  const double noise = std::max(0.1, rng_.Normal(1.0, stddev));
+  return zoo_.Get(model).GangThroughput(gen, gang) * noise;
+}
+
+int64_t Executor::AdvanceSegment(Job& job, RunSegment& seg, SimTime now) {
+  const SimDuration elapsed = now - seg.start;
+  // elapsed == 0 contributes exactly 0.0 to both accumulators, so skipping
+  // the arithmetic is bit-identical — and it is the common case at quantum
+  // edges, where SyncAll has just restarted every segment at `now`.
+  if (elapsed <= 0) {
+    return 0;
+  }
+  job.completed_minibatches = std::min(
+      job.total_minibatches, job.completed_minibatches + SegmentProgress(seg, elapsed));
+  const int64_t gpu_ms = elapsed * job.gang_size;
+  job.gpu_ms_by_gen[cluster::GenerationIndex(seg.gen)] += static_cast<double>(gpu_ms);
+  seg.warmup = std::max<SimDuration>(0, seg.warmup - elapsed);
+  seg.start = now;
+  return gpu_ms;
 }
 
 void Executor::SyncAll() {
-  // Snapshot first: an accounting callback could in principle suspend a job
-  // and mutate running_list_ under the iteration.
-  sync_scratch_.assign(running_list_.begin(), running_list_.end());
-  for (size_t i = 0; i < sync_scratch_.size(); ++i) {
-    if (i + 1 < sync_scratch_.size()) {
-      jobs_.Prefetch(sync_scratch_[i + 1]);
-      PrefetchJobState(sync_scratch_[i + 1]);
+  // No callback fires inside the walk, so running_list_ cannot change under
+  // it: the per-(user, generation) sums go out after the walk.
+  const SimTime now = sim_.Now();
+  for (size_t i = 0; i < running_list_.size(); ++i) {
+    if (i + 1 < running_list_.size()) {
+      jobs_.Prefetch(running_list_[i + 1]);
+      PrefetchJobState(running_list_[i + 1]);
     }
-    SyncProgress(sync_scratch_[i]);
+    Job& job = jobs_.Get(running_list_[i]);
+    RunSegment& seg = segments_[job.id.value()];
+    const int64_t gpu_ms = AdvanceSegment(job, seg, now);
+    if (gpu_ms == 0) {
+      continue;
+    }
+    const size_t user = job.user.value();
+    if (user >= sync_gpu_ms_.size()) {
+      sync_gpu_ms_.resize(user + 1, cluster::PerGeneration<int64_t>{});
+    }
+    int64_t& sum = sync_gpu_ms_[user][cluster::GenerationIndex(seg.gen)];
+    if (sum == 0) {
+      sync_touched_.push_back(static_cast<uint64_t>(user) << 8 |
+                              cluster::GenerationIndex(seg.gen));
+    }
+    sum += gpu_ms;
   }
+  std::sort(sync_touched_.begin(), sync_touched_.end());
+  for (const uint64_t key : sync_touched_) {
+    const size_t user = static_cast<size_t>(key >> 8);
+    const size_t gen = static_cast<size_t>(key & 0xFF);
+    int64_t& sum = sync_gpu_ms_[user][gen];
+    if (on_gpu_time_) {
+      on_gpu_time_(UserId(static_cast<uint32_t>(user)), cluster::kAllGenerations[gen], now,
+                   sum);
+    }
+    sum = 0;
+  }
+  sync_touched_.clear();
 }
 
 void Executor::SyncProgress(JobId id) {
@@ -516,21 +591,10 @@ void Executor::SyncProgress(JobId id) {
   Job& job = jobs_.Get(id);
   RunSegment& seg = segments_[id.value()];
   const SimTime now = sim_.Now();
-  const SimDuration elapsed = now - seg.start;
-  if (elapsed <= 0) {
-    return;
+  const int64_t gpu_ms = AdvanceSegment(job, seg, now);
+  if (gpu_ms > 0 && on_gpu_time_) {
+    on_gpu_time_(job.user, seg.gen, now, gpu_ms);
   }
-  const double progressed = SegmentProgress(seg, elapsed);
-  job.completed_minibatches =
-      std::min(job.total_minibatches, job.completed_minibatches + progressed);
-  job.gpu_ms_by_gen[cluster::GenerationIndex(seg.gen)] +=
-      static_cast<double>(elapsed) * job.gang_size;
-  if (on_gpu_time_) {
-    on_gpu_time_(job.user, seg.gen, seg.start, now, job.gang_size);
-  }
-  // Restart the segment "now", carrying any unfinished warm-up.
-  seg.warmup = std::max<SimDuration>(0, seg.warmup - elapsed);
-  seg.start = now;
 }
 
 }  // namespace gfair::exec

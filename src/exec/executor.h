@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -56,8 +57,8 @@ struct ExecutorConfig {
   // approximation of bandwidth sharing (exact processor sharing would
   // require re-timing in-flight transfers). 0 disables.
   double migrate_contention = 0.5;
-  // Multiplicative noise (stddev, fraction of true rate) on observed
-  // throughput samples — what the online profiler has to cope with.
+  // Multiplicative noise (stddev, fraction of true rate) on one observed
+  // throughput sample — what the online profiler has to cope with.
   double rate_noise = 0.05;
   // Probability that a checkpoint transfer fails at landing (the job bounces
   // back to its source server, suspended). Drawn from a dedicated fault RNG
@@ -93,6 +94,10 @@ struct ExecutorConfig {
   // among those departures, hiding the quantum-boundary bubble. Off keeps
   // resume timing bit-identical to the non-overlapped executor.
   bool overlap_warmup = false;
+
+  // Every out-of-range field, one message each; empty when the config is
+  // usable. The Executor constructor CHECKs that this is empty.
+  std::vector<std::string> Validate() const;
 };
 
 // Global migration / fault accounting: lifetime counters plus the
@@ -156,10 +161,11 @@ class Executor {
   using JobOrphanedCallback = std::function<void(JobId)>;
   // Server availability transitions (FailServer/RecoverServer).
   using ServerEventCallback = std::function<void(ServerId)>;
-  // GPU-time accounting hook: `user` held `gpus` GPUs of `gen` over
-  // [start, end). Fired at the end of every run segment.
+  // GPU-time accounting hook: `user` consumed `gpu_ms` GPU-milliseconds of
+  // `gen` ending at `end`. CloseSegment and SyncProgress fire it once per
+  // job; SyncAll fires it once per (user, generation) with the quantum's sum.
   using AccountingCallback = std::function<void(
-      UserId user, cluster::GpuGeneration gen, SimTime start, SimTime end, int gpus)>;
+      UserId user, cluster::GpuGeneration gen, SimTime end, int64_t gpu_ms)>;
   // Fired when a pre-copy bulk transfer completes and the job is still a
   // valid candidate on the executor side (alive, still at its source). The
   // scheduler returns true to proceed — it must suspend/detach the job and
@@ -263,8 +269,8 @@ class Executor {
     return id.value() < segments_.size() && segments_[id.value()].active;
   }
 
-  // Cache hint for an upcoming IsRunning/SampleObservedRate on `id` in a
-  // walk over scattered job ids. No effect on behavior.
+  // Cache hint for an upcoming IsRunning on `id` in a walk over scattered
+  // job ids. No effect on behavior.
   void PrefetchJobState(JobId id) const {
     if (id.value() < segments_.size()) {
       __builtin_prefetch(&segments_[id.value()]);
@@ -274,17 +280,28 @@ class Executor {
   // Ground-truth gang throughput (mini-batches/s) of the job on `gen`.
   double TrueRate(JobId id, cluster::GpuGeneration gen) const;
 
-  // Noisy observation of the job's current throughput. Precondition: running.
-  // This is what the profiler sees (mini-batch timing jitter).
-  double SampleObservedRate(JobId id);
+  // What the profiler sees of `jobs` running gangs of `gang` GPUs of `model`
+  // on `gen` over one quantum: the mean of their observed throughputs
+  // (mini-batches/s per gang). One observation is the true gang rate times
+  // max(0.1, N(1, rate_noise)) mini-batch timing jitter; the mean of `jobs`
+  // iid N(1, rate_noise) factors is N(1, rate_noise / sqrt(jobs)), so one
+  // draw from the profiler stream stands for the whole group. Only the 0.1
+  // floor moves, from each observation to the group mean; at
+  // rate_noise <= 0.2 it lies >= 4.5 stddevs below 1 either way.
+  double ObservedGroupRate(workload::ModelId model, cluster::GpuGeneration gen, int gang,
+                           int64_t jobs);
 
   // Folds elapsed progress of a running job into completed_minibatches (e.g.
   // before reading job stats mid-segment). No-op for non-running jobs.
-  // Also flushes the pending GPU-time interval to the accounting callback.
+  // Also flushes the pending GPU time to the accounting callback.
   void SyncProgress(JobId id);
 
   // SyncProgress for every running job. Call before reading jobs/ledgers
-  // mid-run — open run segments are otherwise invisible to accounting.
+  // mid-run — open run segments are otherwise invisible to accounting. The
+  // GPU time goes out as one callback per (user, generation) at Now(), in
+  // (user, generation) order: each term is an integer number of GPU-ms, so
+  // the sum is exact and the ledger's series are bit-identical to one
+  // callback per job.
   void SyncAll();
 
   // Per-model operation latencies (exposed for benches/tests).
@@ -348,6 +365,11 @@ class Executor {
   // Progress accumulated in a segment after `elapsed` of wall time.
   static double SegmentProgress(const RunSegment& seg, SimDuration elapsed);
 
+  // Folds the segment's progress and GPU time up to `now` into the job and
+  // restarts the segment at `now`, carrying any unfinished warm-up. Returns
+  // the GPU-ms charged (0 when no time has elapsed); the caller reports it.
+  int64_t AdvanceSegment(workload::Job& job, RunSegment& seg, SimTime now);
+
   // Ends a run segment: sync progress, charge GPU time, release GPUs.
   void CloseSegment(workload::Job& job, bool cancel_finish_event);
 
@@ -397,6 +419,7 @@ class Executor {
   const workload::ModelZoo& zoo_;
   workload::JobTable& jobs_;
   ExecutorConfig config_;
+  // Profiler stream: ObservedGroupRate is its only reader.
   Rng rng_;
   // Separate stream for transfer-failure draws: seeded independently of
   // rng_ so enabling migrate_failure_prob leaves profiler noise unchanged.
@@ -404,7 +427,11 @@ class Executor {
 
   std::vector<RunSegment> segments_;  // indexed by job id; see RunSegment
   std::vector<JobId> running_list_;   // ids of active segments (swap-erase)
-  std::vector<JobId> sync_scratch_;   // reused snapshot buffer for SyncAll
+  // SyncAll's per-quantum GPU-ms sums, indexed by user id, and the
+  // (user, generation) keys it touched, packed user << 8 | generation; both
+  // are cleared again before SyncAll returns.
+  std::vector<cluster::PerGeneration<int64_t>> sync_gpu_ms_;
+  std::vector<uint64_t> sync_touched_;
   std::vector<ModelCosts> model_costs_;       // indexed by model id
   std::vector<simkit::TimerId> finish_timer_;  // indexed by job id
   int migrations_in_flight_ = 0;

@@ -274,19 +274,18 @@ void GandivaFairScheduler::QuantumTick() {
   env_.exec.SyncAll();
 
   // One pass over the servers, fusing the pipeline's per-server stages —
-  // charge + sample, plan (or skip), commit (virtual-time floor + dirty
+  // charge + count, plan (or skip), commit (virtual-time floor + dirty
   // clear), diff, apply — while that server's entries, heap and run
-  // segments are cache-hot (the sample walk just touched the very job and
-  // segment state the apply slice mutates). Charge + sample is obligatory
+  // segments are cache-hot (the charge walk just touched the very job and
+  // segment state the apply slice mutates). Charge + count is obligatory
   // on every up server, skipped or not: stride passes must account the
-  // elapsed quantum and the profiler sees one sample per running job either
-  // way. Servers' job sets are disjoint and suspend/resume draw no RNG, so
-  // the fused loop emits exactly the plan and delta of the phase-at-a-time
-  // composition (planner_.PlanTick → commit → differ_.Diff →
-  // exec.ApplyDelta, which tests still exercise) — stream-for-stream the
-  // decisions, RNG draws and profiler updates are identical. The executor
-  // sees one batched ApplyDelta per diffed server; delta_ accumulates the
-  // whole quantum's ops for introspection.
+  // elapsed quantum and the profiler counts one sample per running job
+  // either way. Servers' job sets are disjoint and suspend/resume draw no
+  // RNG, so the fused loop emits exactly the plan and delta of the
+  // phase-at-a-time composition (planner_.PlanTick → commit → differ_.Diff →
+  // exec.ApplyDelta, which tests still exercise). The executor sees one
+  // batched ApplyDelta per diffed server; delta_ accumulates the whole
+  // quantum's ops for introspection.
   plan_.Clear();
   delta_.Clear();
   for (const auto& server : env_.cluster.servers()) {
@@ -307,6 +306,9 @@ void GandivaFairScheduler::QuantumTick() {
       stride.AdvanceVirtualTime(plan_.skipped_vt.back().second);
     }
   }
+  // The quantum's profiler draws: one per (model, generation, gang) group of
+  // the jobs counted above, before stealing reshapes the running set.
+  trader_.FlushSamples();
 
   if (config_.enable_work_stealing) {
     for (const auto& server : env_.cluster.servers()) {
@@ -334,7 +336,7 @@ void GandivaFairScheduler::ChargeAndSample(ServerId server) {
   const std::vector<JobId>& resident = stride.ResidentJobs();
   for (size_t i = 0; i < resident.size(); ++i) {
     // The walk's per-job state (segment, info, stride entry) is scattered by
-    // job id; hint the next job's lines while this one's sample is computed.
+    // job id; hint the next job's lines while this one is charged.
     if (i + 1 < resident.size()) {
       env_.exec.PrefetchJobState(resident[i + 1]);
       residency_.PrefetchInfo(resident[i + 1]);
@@ -344,9 +346,7 @@ void GandivaFairScheduler::ChargeAndSample(ServerId server) {
       ResidencyIndex::JobInfo& info = residency_.Info(id);
       stride.Charge(id, now - info.last_charge);
       info.last_charge = now;
-      trader_.RecordSample(info.model, gen,
-                           PerGpuRate::FromGangRate(env_.exec.SampleObservedRate(id),
-                                                    info.gang_size));
+      trader_.CountRunning(info.model, gen, info.gang_size);
     }
   }
 }

@@ -26,14 +26,14 @@ const FairnessLedger::PerUser* FairnessLedger::Find(UserId user) const {
   return &per_user_[user.value()];
 }
 
-void FairnessLedger::RecordGpuTime(UserId user, GpuGeneration gen, SimTime start,
-                                   SimTime end, int gpus) {
-  GFAIR_CHECK(start <= end && gpus > 0);
-  if (start == end) {
+void FairnessLedger::RecordGpuTime(UserId user, GpuGeneration gen, SimTime end,
+                                   int64_t gpu_ms) {
+  GFAIR_CHECK(gpu_ms >= 0);
+  if (gpu_ms == 0) {
     return;
   }
   auto& record = GetOrCreate(user);
-  record.gpu_ms[GenerationIndex(gen)].Add(end, static_cast<double>(end - start) * gpus);
+  record.gpu_ms[GenerationIndex(gen)].Add(end, static_cast<double>(gpu_ms));
 }
 
 void FairnessLedger::RecordDemandChange(UserId user, GpuGeneration gen, SimTime time,

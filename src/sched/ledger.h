@@ -9,6 +9,7 @@
 #ifndef GFAIR_SCHED_LEDGER_H_
 #define GFAIR_SCHED_LEDGER_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "cluster/gpu.h"
@@ -22,9 +23,10 @@ class FairnessLedger {
  public:
   // --- recording ---
 
-  // `user` held `gpus` GPUs of `gen` over [start, end).
-  void RecordGpuTime(UserId user, cluster::GpuGeneration gen, SimTime start, SimTime end,
-                     int gpus);
+  // `user` consumed `gpu_ms` GPU-milliseconds of `gen`, attributed to `end`
+  // (the executor's accounting callback: one record per closed segment, and
+  // one per (user, generation) per SyncAll). A zero record is a no-op.
+  void RecordGpuTime(UserId user, cluster::GpuGeneration gen, SimTime end, int64_t gpu_ms);
 
   // `user`'s outstanding demand on pool `gen` changed by `delta` GPUs at
   // `time` (+gang on becoming resident in the pool, -gang on finish/leave).
@@ -63,8 +65,8 @@ class FairnessLedger {
   const PerUser* Find(UserId user) const;
 
   // Indexed by user id (user ids are dense). `known_[u]` marks slots a
-  // record was ever written to; RecordGpuTime runs once per charged gang
-  // every quantum — hot path, so lookups must not hash. Do not hold the
+  // record was ever written to; RecordGpuTime runs once per (user, pool)
+  // every quantum plus once per closed segment, so lookups must not hash. Do not hold the
   // GetOrCreate() reference across another GetOrCreate (it may resize).
   std::vector<PerUser> per_user_;
   std::vector<bool> known_;

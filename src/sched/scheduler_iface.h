@@ -69,10 +69,10 @@ inline void WireCallbacks(exec::Executor& exec, IScheduler& policy) {
       [&policy](JobId id, ServerId dest) { policy.OnMigrationFailed(id, dest); });
   exec.set_on_server_down([&policy](ServerId id) { policy.OnServerDown(id); });
   exec.set_on_server_up([&policy](ServerId id) { policy.OnServerUp(id); });
-  exec.set_on_gpu_time([&policy](UserId user, cluster::GpuGeneration gen, SimTime start,
-                                 SimTime end, int gpus) {
-    policy.policy_ledger().RecordGpuTime(user, gen, start, end, gpus);
-  });
+  exec.set_on_gpu_time(
+      [&policy](UserId user, cluster::GpuGeneration gen, SimTime end, int64_t gpu_ms) {
+        policy.policy_ledger().RecordGpuTime(user, gen, end, gpu_ms);
+      });
 }
 
 }  // namespace gfair::sched

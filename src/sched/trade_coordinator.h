@@ -1,7 +1,8 @@
 // TradeCoordinator — profiling, probe migrations and the trading epoch.
 //
-// Owns the ProfileStore (fed transparently from running jobs every quantum),
-// the configured IAllocationPolicy backend, and the executed-trade history.
+// Owns the ProfileStore (fed transparently from running jobs every quantum
+// through a ProfileTally), the configured IAllocationPolicy backend, and the
+// executed-trade history.
 // Every trade period it covers missing profiles with bounded probe
 // migrations, asks the backend for the epoch's entitlement allocation (built
 // from demand-weighted user speedups), reshapes the ticket matrix to the
@@ -37,13 +38,13 @@ class TradeCoordinator {
                    TicketMatrix& tickets, DecisionLog& decisions,
                    ISchedulerHost& host);
 
-  // Profiling: one observed-rate sample for a running job (the facade's
-  // fused charge+sample loop feeds this every quantum, normalizing the
-  // whole-gang rate with PerGpuRate::FromGangRate at the executor boundary).
-  void RecordSample(workload::ModelId model, cluster::GpuGeneration gen,
-                    PerGpuRate per_gpu_rate) {
-    profiles_.AddSample(model, gen, per_gpu_rate);
+  // Profiling: the facade's charge walk counts every running job once per
+  // quantum, and FlushSamples (after the walk) turns the counts into one
+  // sample per job, drawn per (model, generation, gang) group.
+  void CountRunning(workload::ModelId model, cluster::GpuGeneration gen, int gang) {
+    tally_.Count(model, gen, gang);
   }
+  void FlushSamples() { tally_.Flush(env_.exec, profiles_); }
 
   // One trading epoch (probes, trade computation, ticket reshape, residency
   // rebalancing).
@@ -73,6 +74,7 @@ class TradeCoordinator {
   ISchedulerHost& host_;
 
   ProfileStore profiles_;
+  ProfileTally tally_;
   // Resolved from GandivaFairConfig::allocation_policy via the registry at
   // construction (unknown names CHECK-fail with the registered listing).
   std::unique_ptr<IAllocationPolicy> policy_;

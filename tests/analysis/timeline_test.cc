@@ -10,7 +10,7 @@ TEST(TimelineTest, BucketsAverageGpuTime) {
   workload::UserTable users;
   const UserId a = users.Create("a").id;
   // 4 GPUs for the first hour, none afterwards.
-  ledger.RecordGpuTime(a, cluster::GpuGeneration::kV100, 0, Hours(1), 4);
+  ledger.RecordGpuTime(a, cluster::GpuGeneration::kV100, Hours(1), 4 * Hours(1));
   const auto rows = ComputeTimeline(ledger, users, 0, Hours(2), /*buckets=*/4);
   ASSERT_EQ(rows.size(), 1u);
   ASSERT_EQ(rows[0].gpus.size(), 4u);
@@ -28,8 +28,7 @@ TEST(TimelineTest, FineGrainedLedgerYieldsSmoothBuckets) {
   const UserId a = users.Create("a").id;
   // Minute-granularity accounting, as the scheduler produces.
   for (int m = 0; m < 120; ++m) {
-    ledger.RecordGpuTime(a, cluster::GpuGeneration::kV100, Minutes(m), Minutes(m + 1),
-                         4);
+    ledger.RecordGpuTime(a, cluster::GpuGeneration::kV100, Minutes(m + 1), 4 * Minutes(1));
   }
   const auto rows = ComputeTimeline(ledger, users, 0, Hours(2), 4);
   for (double value : rows[0].gpus) {
@@ -43,7 +42,7 @@ TEST(TimelineTest, RenderShowsNamesAndPeaks) {
   const UserId a = users.Create("alice").id;
   users.Create("idle-bob");
   for (int m = 0; m < 60; ++m) {
-    ledger.RecordGpuTime(a, cluster::GpuGeneration::kK80, Minutes(m), Minutes(m + 1), 2);
+    ledger.RecordGpuTime(a, cluster::GpuGeneration::kK80, Minutes(m + 1), 2 * Minutes(1));
   }
   const auto rows = ComputeTimeline(ledger, users, 0, Hours(1), 12);
   const std::string art = RenderTimeline(rows, 0, Hours(1), 8.0);

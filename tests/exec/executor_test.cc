@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/stats.h"
+#include "sched/ledger.h"
 #include "simkit/simulator.h"
 #include "workload/job.h"
 #include "workload/model_zoo.h"
@@ -155,19 +159,88 @@ TEST_F(ExecutorTest, MigratedJobRunsAtNewGenerationRate) {
 }
 
 TEST_F(ExecutorTest, GpuTimeAccountingCallback) {
-  double total_gpu_ms = 0.0;
-  exec_.set_on_gpu_time([&](UserId, GpuGeneration gen, SimTime start, SimTime end,
-                            int gpus) {
+  int64_t total_gpu_ms = 0;
+  exec_.set_on_gpu_time([&](UserId, GpuGeneration gen, SimTime end, int64_t gpu_ms) {
     EXPECT_EQ(gen, GpuGeneration::kK80);
-    total_gpu_ms += static_cast<double>(end - start) * gpus;
+    EXPECT_EQ(end, sim_.Now());
+    total_gpu_ms += gpu_ms;
   });
   Job& job = MakeJob("DCGAN", 3, 1e9);
   exec_.MakeResident(job.id, K80());
   exec_.Resume(job.id);
   sim_.RunUntil(Minutes(2));
   exec_.Suspend(job.id);
-  EXPECT_DOUBLE_EQ(total_gpu_ms, 3.0 * Minutes(2));
-  EXPECT_DOUBLE_EQ(job.TotalGpuMs(), total_gpu_ms);
+  EXPECT_EQ(total_gpu_ms, 3 * Minutes(2));
+  EXPECT_DOUBLE_EQ(job.TotalGpuMs(), static_cast<double>(total_gpu_ms));
+}
+
+TEST_F(ExecutorTest, SyncAllBatchesGpuTimePerUserAndGenerationExactly) {
+  // SyncAll reports one sum per (user, generation); the ledger must still
+  // hold exactly the per-job totals, across users, gangs and generations,
+  // with resumes and suspends landing between the syncs.
+  sched::FairnessLedger ledger;
+  int callbacks = 0;
+  exec_.set_on_gpu_time([&](UserId user, GpuGeneration gen, SimTime end, int64_t gpu_ms) {
+    ++callbacks;
+    ledger.RecordGpuTime(user, gen, end, gpu_ms);
+  });
+  const auto& zoo = workload::ModelZoo::Default();
+  auto make = [&](uint32_t user, const char* model, int gang, ServerId server) -> Job& {
+    Job& job = jobs_.Create(UserId(user), zoo.GetByName(model).id, gang, 1e9, sim_.Now());
+    exec_.MakeResident(job.id, server);
+    return job;
+  };
+  Job& a = make(0, "DCGAN", 1, K80());
+  Job& b = make(1, "ResNet-50", 2, K80());
+  Job& c = make(0, "VAE", 2, V100());
+  Job& d = make(2, "DCGAN", 1, V100());
+  Job& e = make(0, "DCGAN", 1, K80());
+  Job& f = make(1, "VAE", 1, V100());
+  const std::vector<Job*> all = {&a, &b, &c, &d, &e, &f};
+
+  auto expect_exact = [&](SimTime now) {
+    for (uint32_t user = 0; user < 3; ++user) {
+      for (GpuGeneration gen : cluster::kAllGenerations) {
+        double expected = 0.0;
+        for (const Job* job : all) {
+          if (job->user == UserId(user)) {
+            expected += job->gpu_ms_by_gen[cluster::GenerationIndex(gen)];
+          }
+        }
+        EXPECT_EQ(ledger.GpuMs(UserId(user), gen, 0, now), expected)
+            << "user " << user << " on " << cluster::GenerationName(gen) << " at " << now;
+      }
+    }
+  };
+
+  exec_.Resume(a.id);
+  exec_.Resume(b.id);
+  exec_.Resume(c.id);
+  sim_.RunUntil(Seconds(25));
+  exec_.Resume(d.id);  // mid-quantum resume
+  sim_.RunUntil(Seconds(60));
+  callbacks = 0;
+  exec_.SyncAll();
+  EXPECT_EQ(callbacks, 4);  // (0,K80) (1,K80) (0,V100) (2,V100)
+  expect_exact(sim_.Now());
+
+  sim_.RunUntil(Seconds(90));
+  exec_.Suspend(b.id);  // mid-quantum suspend: its own record at close
+  exec_.Resume(e.id);
+  exec_.Resume(f.id);
+  sim_.RunUntil(Seconds(100));
+  exec_.Suspend(c.id);
+  sim_.RunUntil(Seconds(120));
+  exec_.SyncAll();
+  expect_exact(sim_.Now());
+
+  sim_.RunUntil(Seconds(179));
+  exec_.Resume(b.id);
+  sim_.RunUntil(Seconds(180));
+  exec_.SyncAll();
+  exec_.SyncAll();  // nothing elapsed: no record, no double count
+  expect_exact(sim_.Now());
+  EXPECT_GT(ledger.GpuMs(UserId(1), GpuGeneration::kV100, 0, sim_.Now()), 0.0);
 }
 
 TEST_F(ExecutorTest, SyncAllFlushesOpenSegments) {
@@ -194,18 +267,23 @@ TEST_F(ExecutorTest, SyncTwiceDoesNotDoubleCount) {
 }
 
 TEST_F(ExecutorTest, ObservedRateIsNoisyAroundTruth) {
-  Job& job = MakeJob("ResNet-50", 1, 1e9);
-  exec_.MakeResident(job.id, V100());
-  exec_.Resume(job.id);
-  const double truth = exec_.TrueRate(job.id, GpuGeneration::kV100);
-  double sum = 0.0;
-  const int n = 2000;
-  for (int i = 0; i < n; ++i) {
-    const double sample = exec_.SampleObservedRate(job.id);
-    EXPECT_GT(sample, 0.0);
-    sum += sample;
+  // One group draw stands for the mean of k observations: its mean is the
+  // true rate and its spread is rate_noise / sqrt(k).
+  const auto model = workload::ModelZoo::Default().GetByName("ResNet-50").id;
+  const double truth = workload::ModelZoo::Default().Get(model).GangThroughput(
+      GpuGeneration::kV100, 2);
+  const double sigma = ExecutorConfig{}.rate_noise;
+  for (const int64_t k : {int64_t{1}, int64_t{16}}) {
+    RunningStats ratio;
+    for (int i = 0; i < 4000; ++i) {
+      const double sample = exec_.ObservedGroupRate(model, GpuGeneration::kV100, 2, k);
+      EXPECT_GT(sample, 0.0);
+      ratio.Add(sample / truth);
+    }
+    const double expected_sd = sigma / std::sqrt(static_cast<double>(k));
+    EXPECT_NEAR(ratio.mean(), 1.0, 4.0 * expected_sd / std::sqrt(4000.0)) << "k=" << k;
+    EXPECT_NEAR(ratio.stddev(), expected_sd, 0.1 * expected_sd) << "k=" << k;
   }
-  EXPECT_NEAR(sum / n / truth, 1.0, 0.02);
 }
 
 TEST_F(ExecutorTest, LatenciesScaleWithCheckpointSize) {
@@ -249,6 +327,56 @@ TEST_F(ExecutorTest, DeathOnBadTransitions) {
 TEST_F(ExecutorTest, DeathOnOversizedGang) {
   Job& job = MakeJob("DCGAN", 8, 100.0);  // servers have 4 GPUs
   EXPECT_DEATH(exec_.MakeResident(job.id, K80()), "fit");
+}
+
+TEST(ExecutorConfigTest, DefaultsAreValid) { EXPECT_TRUE(ExecutorConfig{}.Validate().empty()); }
+
+TEST(ExecutorConfigTest, ReportsEveryBadField) {
+  ExecutorConfig config;
+  config.rate_noise = -0.1;
+  config.migrate_failure_prob = 2.0;
+  config.precopy_dirty_fraction = -1.0;
+  config.compress_ratio = 0.0;
+  config.migrate_bw_gbps = std::nan("");
+  EXPECT_EQ(config.Validate().size(), 5u);
+}
+
+// Constructs an Executor over a throwaway one-server world.
+void Construct(const ExecutorConfig& config) {
+  simkit::Simulator sim;
+  cluster::Cluster cluster(cluster::Topology{{{GpuGeneration::kV100, 1, 4}}});
+  workload::JobTable jobs;
+  Executor exec(sim, cluster, workload::ModelZoo::Default(), jobs, config, 1);
+}
+
+TEST(ExecutorConfigDeathTest, RejectsNonFiniteRateNoise) {
+  ExecutorConfig config;
+  config.rate_noise = std::nan("");
+  EXPECT_DEATH(Construct(config), "rate_noise");
+}
+
+TEST(ExecutorConfigDeathTest, RejectsMigrateFailureProbAboveOne) {
+  ExecutorConfig config;
+  config.migrate_failure_prob = 1.5;
+  EXPECT_DEATH(Construct(config), "migrate_failure_prob");
+}
+
+TEST(ExecutorConfigDeathTest, RejectsNegativePrecopyDirtyFraction) {
+  ExecutorConfig config;
+  config.precopy_dirty_fraction = -0.1;
+  EXPECT_DEATH(Construct(config), "precopy_dirty_fraction");
+}
+
+TEST(ExecutorConfigDeathTest, RejectsZeroCompressRatio) {
+  ExecutorConfig config;
+  config.compress_ratio = 0.0;
+  EXPECT_DEATH(Construct(config), "compress_ratio");
+}
+
+TEST(ExecutorConfigDeathTest, RejectsNonPositiveMigrateBandwidth) {
+  ExecutorConfig config;
+  config.migrate_bw_gbps = -1.0;
+  EXPECT_DEATH(Construct(config), "migrate_bw_gbps");
 }
 
 }  // namespace

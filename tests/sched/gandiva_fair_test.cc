@@ -178,6 +178,29 @@ TEST(GandivaFairTest, ProfilerLearnsRatesOnHomeGeneration) {
   EXPECT_NEAR(profiles.EstimatedRate(model, GpuGeneration::kV100).raw(), 50.0, 2.5);
 }
 
+TEST(GandivaFairTest, ProfilerCountsOneSamplePerRunningJobPerQuantum) {
+  // Six always-running jobs in two (model, gang) groups fill the one server,
+  // so every quantum adds exactly one sample per job, grouped or not.
+  ExperimentConfig config;
+  config.topology = cluster::HomogeneousTopology(1, 8);
+  Experiment exp(config);
+  auto& a = exp.users().Create("a");
+  exp.UseGandivaFair({});
+  for (int i = 0; i < 4; ++i) {
+    exp.SubmitAt(kTimeZero, a.id, "DCGAN", 1, Hours(100));
+  }
+  exp.SubmitAt(kTimeZero, a.id, "ResNet-50", 2, Hours(100));
+  exp.SubmitAt(kTimeZero, a.id, "ResNet-50", 2, Hours(100));
+  const int quanta = 10;
+  exp.Run(quanta * GandivaFairConfig{}.quantum + Seconds(1));
+  const auto& profiles = exp.gandiva()->profiles();
+  EXPECT_EQ(profiles.SampleCount(exp.zoo().GetByName("DCGAN").id, GpuGeneration::kV100),
+            static_cast<size_t>(quanta * 4));
+  EXPECT_EQ(
+      profiles.SampleCount(exp.zoo().GetByName("ResNet-50").id, GpuGeneration::kV100),
+      static_cast<size_t>(quanta * 2));
+}
+
 TEST(GandivaFairTest, TradingImprovesLenderWithoutHurtingBorrower) {
   auto run = [](bool trading) {
     ExperimentConfig config;

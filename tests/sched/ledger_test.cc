@@ -9,9 +9,9 @@ using cluster::GpuGeneration;
 
 TEST(LedgerTest, GpuTimeAccumulatesPerUserAndGen) {
   FairnessLedger ledger;
-  ledger.RecordGpuTime(UserId(0), GpuGeneration::kV100, 0, Minutes(10), 4);
-  ledger.RecordGpuTime(UserId(0), GpuGeneration::kK80, 0, Minutes(5), 2);
-  ledger.RecordGpuTime(UserId(1), GpuGeneration::kV100, 0, Minutes(10), 1);
+  ledger.RecordGpuTime(UserId(0), GpuGeneration::kV100, Minutes(10), 4 * Minutes(10));
+  ledger.RecordGpuTime(UserId(0), GpuGeneration::kK80, Minutes(5), 2 * Minutes(5));
+  ledger.RecordGpuTime(UserId(1), GpuGeneration::kV100, Minutes(10), Minutes(10));
 
   EXPECT_DOUBLE_EQ(ledger.GpuMs(UserId(0), GpuGeneration::kV100, 0, Hours(1)),
                    4.0 * Minutes(10));
@@ -22,9 +22,9 @@ TEST(LedgerTest, GpuTimeAccumulatesPerUserAndGen) {
 
 TEST(LedgerTest, WindowedQueries) {
   FairnessLedger ledger;
-  // Intervals are credited at their END time.
-  ledger.RecordGpuTime(UserId(0), GpuGeneration::kV100, 0, Minutes(10), 1);
-  ledger.RecordGpuTime(UserId(0), GpuGeneration::kV100, Minutes(10), Minutes(20), 1);
+  // GPU time is credited at the record's END time.
+  ledger.RecordGpuTime(UserId(0), GpuGeneration::kV100, Minutes(10), Minutes(10));
+  ledger.RecordGpuTime(UserId(0), GpuGeneration::kV100, Minutes(20), Minutes(10));
   EXPECT_DOUBLE_EQ(
       ledger.GpuMs(UserId(0), GpuGeneration::kV100, Minutes(15), Minutes(25)),
       static_cast<double>(Minutes(10)));
@@ -67,7 +67,7 @@ TEST(LedgerDeathTest, NegativeDemandAborts) {
 
 TEST(LedgerTest, ZeroLengthIntervalIgnored) {
   FairnessLedger ledger;
-  ledger.RecordGpuTime(UserId(0), GpuGeneration::kK80, 5, 5, 3);
+  ledger.RecordGpuTime(UserId(0), GpuGeneration::kK80, 5, 0);
   EXPECT_DOUBLE_EQ(ledger.GpuMs(UserId(0), 0, Hours(1)), 0.0);
 }
 

@@ -154,6 +154,7 @@ void LegacyGandivaFairScheduler::QuantumTick() {
     CollectSamples(server.id());
     ApplyTargetSet(server.id());
   }
+  profile_tally_.Flush(env_.exec, profiles_);
   if (config_.enable_work_stealing) {
     for (const auto& server : env_.cluster.servers()) {
       if (server.num_free() > 0) {
@@ -181,9 +182,7 @@ void LegacyGandivaFairScheduler::CollectSamples(ServerId server) {
   for (JobId id : stride.ResidentJobs()) {
     if (env_.exec.IsRunning(id)) {
       const Job& job = env_.jobs.Get(id);
-      const double observed = env_.exec.SampleObservedRate(id);
-      profiles_.AddSample(job.model, gen,
-                          PerGpuRate::FromGangRate(observed, job.gang_size));
+      profile_tally_.Count(job.model, gen, job.gang_size);
     }
   }
 }

@@ -105,6 +105,7 @@ class LegacyGandivaFairScheduler : public IScheduler {
   std::vector<LocalStrideScheduler> strides_;
   FairnessLedger ledger_;
   ProfileStore profiles_;
+  ProfileTally profile_tally_;  // flushed after the server loop, before stealing
   TicketMatrix ticket_matrix_;
   // The oracle pins the DEFAULT backend: the greedy exchange, held directly
   // (the registry indirection is part of the refactor under test).

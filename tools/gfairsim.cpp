@@ -135,6 +135,9 @@ std::optional<analysis::Policy> ParsePolicy(const std::string& name) {
   return std::nullopt;
 }
 
+// Longest interarrival or job duration a --user spec may ask for.
+constexpr SimDuration kMaxSpecDuration = 100 * 365 * kDay;
+
 // "name:tickets:interarrival_min:duration_h[:model=w;model=w]"
 std::optional<workload::UserWorkloadSpec> ParseUserSpec(const std::string& spec,
                                                         SimTime horizon) {
@@ -144,14 +147,22 @@ std::optional<workload::UserWorkloadSpec> ParseUserSpec(const std::string& spec,
   }
   workload::UserWorkloadSpec user;
   user.name = parts[0];
-  user.tickets = std::atof(parts[1].c_str());
+  const double tickets = std::atof(parts[1].c_str());
   const double interarrival_min = std::atof(parts[2].c_str());
   const double duration_h = std::atof(parts[3].c_str());
-  if (user.tickets <= 0 || interarrival_min <= 0 || duration_h <= 0) {
+  // Written as !(in range) so NaN is rejected too; the upper bounds keep the
+  // conversion to integer milliseconds in range.
+  if (!(tickets > 0 && std::isfinite(tickets)) ||
+      !(interarrival_min > 0 && interarrival_min <= ToMinutes(kMaxSpecDuration)) ||
+      !(duration_h > 0 && duration_h <= ToHours(kMaxSpecDuration))) {
     return std::nullopt;
   }
+  user.tickets = tickets;
   user.mean_interarrival = Minutes(interarrival_min);
   user.mean_duration_k80 = Hours(duration_h);
+  if (user.mean_interarrival < 1 || user.mean_duration_k80 < 1) {
+    return std::nullopt;  // rounds to 0 ms
+  }
   user.stop = horizon;
   if (parts.size() == 5 && !parts[4].empty()) {
     for (const std::string& model_weight : SplitAndTrim(parts[4], ';')) {
@@ -279,12 +290,19 @@ int main(int argc, char** argv) {
     return Fail("unknown --policy");
   }
   const bool compare = args.GetBool("compare");
-  const double hours = args.GetDouble("hours", 12.0);
-  if (hours <= 0 || hours > 24 * 365) {
+  double hours = 12.0;
+  if (args.Has("hours") && !args.TryGetDouble("hours", &hours)) {
+    return Fail("--hours is not a number, got '" + args.GetString("hours") + "'");
+  }
+  if (!(hours > 0 && hours <= 24 * 365)) {  // also rejects NaN
     return Fail("--hours out of range");
   }
   const SimTime horizon = Hours(hours);
-  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+  int64_t seed_flag = 42;
+  if (args.Has("seed") && !args.TryGetInt("seed", &seed_flag)) {
+    return Fail("--seed must be an integer, got '" + args.GetString("seed") + "'");
+  }
+  const auto seed = static_cast<uint64_t>(seed_flag);
 
   workload::GangSizeDist gangs = workload::GangSizeDist::Typical();
   const std::string gang_mix = args.GetString("gangs", "typical");
@@ -310,9 +328,10 @@ int main(int argc, char** argv) {
       workload.users.push_back({user.name, user.tickets.raw(), user.group});
     }
   } else {
-    const double diurnal = args.GetDouble("diurnal", 0.0);
-    if (diurnal < 0.0 || diurnal >= 1.0) {
-      return Fail("--diurnal must be in [0, 1)");
+    double diurnal = 0.0;
+    if ((args.Has("diurnal") && !args.TryGetDouble("diurnal", &diurnal)) ||
+        !(diurnal >= 0.0 && diurnal < 1.0)) {  // also rejects NaN
+      return Fail("--diurnal must be in [0, 1), got '" + args.GetString("diurnal") + "'");
     }
     std::vector<workload::UserWorkloadSpec> specs;
     for (const std::string& spec : args.GetAll("user")) {
